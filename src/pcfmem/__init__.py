@@ -10,7 +10,6 @@ analytic fiber model with exact simulation-call accounting.
 __version__ = "0.1.0"
 
 __all__ = [
-    "accel",
     "baselines",
     "cli",
     "datagen",

@@ -304,7 +304,15 @@ def cmd_report(out: str) -> int:
         rows.append(row)
     rows.sort(key=lambda r: r["method"])
     merged = {"table": rows, "missing_metrics": list(evalsuite.MISSING_METRICS)}
-    _write_json(os.path.join(out, "results.json"), merged)
+    # keep the training report that evolve/train wrote into the same file
+    results_path = os.path.join(out, "results.json")
+    results = {}
+    if os.path.exists(results_path):
+        with open(results_path, encoding="utf-8") as fh:
+            results = json.load(fh)
+        if not isinstance(results, dict):
+            raise CorpusFormatError(f"{results_path} must hold a JSON object")
+    _write_json(results_path, {**results, **merged})
     with open(os.path.join(out, "results.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()

@@ -9,6 +9,7 @@ so those columns are declared in MISSING_METRICS instead of being faked.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -313,15 +314,38 @@ def episode_queries(
     return r_final, rows
 
 
-def trace_return(
+def play_trace(
     trace: Trace,
-    mem_bank: memory.MemoryBank,
+    skill_bank,
+    params: Optional[dict],
+    cache: rollout.FeatureCache,
+    mode: str,
+    master_seed: int,
+    seed_key: tuple[int, ...],
     queries: list[Query],
     counter: CallCounter,
-) -> float:
-    """Terminal reward: fraction of the trace's queries answered correctly."""
-    r_final, _ = episode_queries(mem_bank, queries, counter)
-    return r_final
+    k_retrieve: int,
+    top_k: int,
+    bias: Optional[np.ndarray] = None,
+) -> tuple[rollout.EpisodeRollout, float, list[dict]]:
+    """Roll one trace out, then answer its queries from the episode's memory.
+
+    The episode draws from the stream ``SeedSequence(master_seed, seed_key)``.
+    Returns (episode, fraction of queries passed, per-query rows).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=seed_key))
+    ep = rollout.run_episode(
+        trace, skill_bank, params, cache, k_retrieve, top_k, mode, rng, bias
+    )
+    r_final, rows = episode_queries(ep.mem_bank, queries, counter)
+    return ep, r_final, rows
+
+
+def _eval_seed_key(trace_id: str) -> tuple[int, int]:
+    """Per-trace eval stream: ``t<digits>`` ids by number, others by id hash."""
+    if re.fullmatch(r"t[0-9]+", trace_id):
+        return (4, int(trace_id[1:]))
+    return (4, embed.fnv1a64(trace_id))
 
 
 def _eval_traces(
@@ -338,18 +362,12 @@ def _eval_traces(
     counter = CallCounter()
     rows: list[dict] = []
     for trace in traces:
-        t_idx = int(trace.id.lstrip("t")) if trace.id.lstrip("t").isdigit() else 0
-        rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=(4, t_idx))
+        _, _, trace_rows = play_trace(
+            trace, skill_bank, params, cache, mode, master_seed,
+            _eval_seed_key(trace.id), queries_by_trace.get(trace.id, []), counter,
+            k_retrieve, top_k,
         )
-        ep = rollout.run_episode(
-            trace, skill_bank, params, cache, k_retrieve, top_k, mode, rng
-        )
-        for q in queries_by_trace.get(trace.id, []):
-            counter.begin_query()
-            _, row = answer_query(ep.mem_bank, q, counter)
-            row["calls"] = counter.per_query_calls
-            rows.append(row)
+        rows.extend(trace_rows)
     return rows, counter
 
 

@@ -10,9 +10,8 @@ CallCounter; invalid inputs raise before any charge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-from . import accel
 
 LAMBDA_MIN_UM = 1.2
 LAMBDA_MAX_UM = 1.7
@@ -31,6 +30,56 @@ TOL_NEFF = 1e-3  # normalization only; targets never constrain n_eff
 
 METRICS = ("dispersion", "loss", "n_eff")
 PARAMS = ("pitch", "hole_d", "n_rings")
+
+# Fused-silica Sellmeier fit (lambda in um)
+_B1 = 0.6961663
+_B2 = 0.4079426
+_B3 = 0.8974794
+_C1 = 0.0684043**2
+_C2 = 0.1162414**2
+_C3 = 9.896161**2
+
+# Cladding correction and confinement-loss shape constants
+_FILL_A = 0.08
+_FILL_P = 1.5
+_LOSS_ALPHA_MAX = 1.0e3
+_LOSS_KAPPA = 3.0
+_LOSS_S = 4.0
+
+_DISP_PREF = 1.0e4 / 2.99792458
+
+
+def _sellmeier_n(lam: float) -> float:
+    l2 = lam * lam
+    s = (
+        _B1 * l2 / (l2 - _C1)
+        + _B2 * l2 / (l2 - _C2)
+        + _B3 * l2 / (l2 - _C3)
+    )
+    return math.sqrt(1.0 + s)
+
+
+def _n_eff(pitch: float, dratio: float, lam: float) -> float:
+    base = _sellmeier_n(lam)
+    rel = lam / pitch
+    return base - _FILL_A * dratio**_FILL_P * rel * rel
+
+
+def _confinement_loss(pitch: float, dratio: float, n_rings: float, lam: float) -> float:
+    rel = lam / pitch
+    return _LOSS_ALPHA_MAX * math.exp(-_LOSS_KAPPA * n_rings * dratio) * rel**_LOSS_S
+
+
+def _dispersion_fd(pitch: float, dratio: float, lam: float, h: float) -> float:
+    # 5-point central second derivative of n_eff wrt wavelength
+    f_m2 = _n_eff(pitch, dratio, lam - 2.0 * h)
+    f_m1 = _n_eff(pitch, dratio, lam - h)
+    f_0 = _n_eff(pitch, dratio, lam)
+    f_p1 = _n_eff(pitch, dratio, lam + h)
+    f_p2 = _n_eff(pitch, dratio, lam + 2.0 * h)
+    d2 = (-f_m2 + 16.0 * f_m1 - 30.0 * f_0 + 16.0 * f_p1 - f_p2) / (12.0 * h * h)
+    return -_DISP_PREF * lam * d2
+
 
 
 class InvalidGeometry(ValueError):
@@ -192,26 +241,26 @@ def geometry_valid(geom: Geometry) -> bool:
 
 def sellmeier_index(lambda_um: float) -> float:
     validate_wavelength(lambda_um)
-    return float(accel.sellmeier_n(lambda_um))
+    return float(_sellmeier_n(lambda_um))
 
 
 def effective_index(geom: Geometry, lambda_um: float) -> float:
     validate_geometry(geom)
     validate_wavelength(lambda_um)
-    return float(accel.n_eff(geom.pitch_um, geom.dratio, lambda_um))
+    return float(_n_eff(geom.pitch_um, geom.dratio, lambda_um))
 
 
 def dispersion(geom: Geometry, lambda_um: float) -> float:
     validate_geometry(geom)
     validate_wavelength(lambda_um)
-    return float(accel.dispersion_fd(geom.pitch_um, geom.dratio, lambda_um, FD_STEP_UM))
+    return float(_dispersion_fd(geom.pitch_um, geom.dratio, lambda_um, FD_STEP_UM))
 
 
 def loss(geom: Geometry, lambda_um: float) -> float:
     validate_geometry(geom)
     validate_wavelength(lambda_um)
     return float(
-        accel.confinement_loss(geom.pitch_um, geom.dratio, float(geom.n_rings), lambda_um)
+        _confinement_loss(geom.pitch_um, geom.dratio, float(geom.n_rings), lambda_um)
     )
 
 
@@ -219,10 +268,10 @@ def simulate(geom: Geometry, lambda_um: float, counter: CallCounter) -> SimResul
     """One charged property evaluation. Raises (uncharged) on invalid input."""
     validate_geometry(geom)
     validate_wavelength(lambda_um)
-    ne = float(accel.n_eff(geom.pitch_um, geom.dratio, lambda_um))
-    dd = float(accel.dispersion_fd(geom.pitch_um, geom.dratio, lambda_um, FD_STEP_UM))
+    ne = float(_n_eff(geom.pitch_um, geom.dratio, lambda_um))
+    dd = float(_dispersion_fd(geom.pitch_um, geom.dratio, lambda_um, FD_STEP_UM))
     al = float(
-        accel.confinement_loss(geom.pitch_um, geom.dratio, float(geom.n_rings), lambda_um)
+        _confinement_loss(geom.pitch_um, geom.dratio, float(geom.n_rings), lambda_um)
     )
     counter.tick()
     return SimResult(n_eff=ne, dispersion_ps_nm_km=dd, loss_db_km=al, lambda_um=lambda_um)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel, embed
+from . import embed
 
 IN_DIM = 520
 HIDDEN = 256
@@ -83,10 +83,9 @@ def build_context(
 
 def forward_vec(params: dict, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Rollout-path forward: (match vector h, value)."""
-    t2, v = accel.mlp_forward_vec(
-        x, params["w1"], params["b1"], params["w2"], params["b2"], params["wv"],
-        float(params["bv"][0]),
-    )
+    t1 = np.tanh(np.dot(x, params["w1"]) + params["b1"])
+    t2 = np.tanh(np.dot(t1, params["w2"]) + params["b2"])
+    v = float(np.dot(t2, params["wv"])) + float(params["bv"][0])
     norm = math.sqrt(float(np.dot(t2, t2)))
     h = t2 / norm if norm > 0.0 else np.zeros_like(t2)
     return h, v

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import accel, designer, evalsuite, policy, rollout, skills
+from . import designer, evalsuite, policy, rollout, skills
 from .datagen import Query, Trace
 from .physics import CallCounter
 
@@ -66,13 +66,17 @@ def compute_gae(
     """Raw (unnormalized) advantages and returns; terminal value is 0."""
     if len(rewards) == 0:
         raise ValueError("empty episode")
-    adv, ret = accel.gae_scan(
-        np.asarray(rewards, dtype=np.float64),
-        np.asarray(values, dtype=np.float64),
-        gamma_d,
-        lam,
-    )
-    return adv, ret
+    rewards = np.asarray(rewards, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    t_len = rewards.shape[0]
+    adv = np.empty(t_len, dtype=np.float64)
+    running = 0.0
+    for t in range(t_len - 1, -1, -1):
+        next_v = values[t + 1] if t + 1 < t_len else 0.0
+        delta = rewards[t] + gamma_d * next_v - values[t]
+        running = delta + gamma_d * lam * running
+        adv[t] = running
+    return adv, adv + values
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
@@ -165,12 +169,6 @@ class InnerLog:
         return float(np.mean([e["mean_return"] for e in self.epochs]))
 
 
-def _episode_rng(master_seed: int, outer: int, inner: int, slot: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(10, outer, inner, slot))
-    )
-
-
 def run_inner_loop(
     bank: skills.SkillBank,
     train_traces: list[Trace],
@@ -212,12 +210,11 @@ def run_inner_loop(
 
         for slot, t_i in enumerate(picks):
             trace = train_traces[int(t_i)]
-            rng = _episode_rng(master_seed, outer_epoch, inner, slot)
-            ep = rollout.run_episode(
-                trace, bank, params, cache, cfg.k_retrieve, cfg.top_k, mode, rng, bias
+            ep, r_final, rows = evalsuite.play_trace(
+                trace, bank, params, cache, mode, master_seed,
+                (10, outer_epoch, inner, slot), queries_by_trace.get(trace.id, []),
+                counter, cfg.k_retrieve, cfg.top_k, bias,
             )
-            qs = queries_by_trace.get(trace.id, [])
-            r_final, rows = evalsuite.episode_queries(ep.mem_bank, qs, counter)
             queries_answered += len(rows)
             for row in rows:
                 if row["qtype"] == "parameter_adjustment":
@@ -284,15 +281,11 @@ def j_val(
         return 0.0
     total = 0.0
     for i, trace in enumerate(val_traces):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=(13, i))
+        _, r_final, _ = evalsuite.play_trace(
+            trace, bank, params, cache, mode, master_seed, (13, i),
+            queries_by_trace.get(trace.id, []), counter, cfg.k_retrieve, cfg.top_k,
         )
-        ep = rollout.run_episode(
-            trace, bank, params, cache, cfg.k_retrieve, cfg.top_k, mode, rng
-        )
-        total += evalsuite.trace_return(
-            trace, ep.mem_bank, queries_by_trace.get(trace.id, []), counter
-        )
+        total += r_final
     return total / len(val_traces)
 
 

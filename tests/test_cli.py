@@ -107,6 +107,34 @@ def test_report_merges_and_formats_none(tmp_path, capsys):
     assert by_col["calls_per_query"] == "100.0"
 
 
+def test_report_keeps_the_training_report(tmp_path, capsys):
+    training = {
+        "ablation": "full",
+        "epochs": [{"outer": 0, "mean_return": 0.5}],
+        "bank_version_history": [0, 1],
+        "train_calls": 120,
+        "designer_calls": 7,
+        "val_calls": 64,
+    }
+    (tmp_path / "results.json").write_text(json.dumps(training))
+    rep = {"f1": 50.0, "calls_per_query": 0.5, "n_queries": 4}
+    (tmp_path / "eval_full.json").write_text(
+        json.dumps({"method": "agent", "report": rep})
+    )
+    code, _, _ = _run(["report", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    merged = json.loads((tmp_path / "results.json").read_text())
+    for key, value in training.items():
+        assert merged[key] == value, key
+    assert [r["method"] for r in merged["table"]] == ["agent"]
+    assert merged["missing_metrics"] == ["judge", "human"]
+
+    (tmp_path / "results.json").write_text("[1, 2]")
+    code, _, err = _run(["report", "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert "JSON object" in err
+
+
 def test_canonical_ablation_names():
     assert cli._canonical_ablation("full") == "full"
     assert cli._canonical_ablation("wo-controller") == "wo_controller"

@@ -1,9 +1,11 @@
 """Protocol metrics and the per-type answering paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pcfmem import datagen, evalsuite, memory, physics, skills
+from pcfmem import datagen, evalsuite, memory, physics, rollout, skills
 from pcfmem.datagen import Query
 from pcfmem.memory import MemoryBank, MemoryEntry, MemoryKey
 from pcfmem.physics import CallCounter, Geometry, SimResult, TargetSpec
@@ -337,6 +339,27 @@ def test_evaluate_agent_worker_split_matches_serial(small_corpus, traces_by_id):
     )
     assert forked["rows"] == serial["rows"]
     assert forked["total_calls"] == serial["total_calls"]
+
+
+def test_eval_seeds_each_trace_id_apart(small_corpus, traces_by_id, monkeypatch):
+    base = traces_by_id[small_corpus["splits"]["test"][0]]
+    traces = [dataclasses.replace(base, id=i) for i in ("a", "b", "t00007")]
+    states = {}
+    real_run_episode = rollout.run_episode
+
+    def spy(trace, *args):
+        states[trace.id] = args[6].bit_generator.state  # the episode's rng
+        return real_run_episode(trace, *args)
+
+    monkeypatch.setattr(rollout, "run_episode", spy)
+    evalsuite.evaluate_agent(
+        traces, [], skills.initial_bank(), None, mode="random", master_seed=9
+    )
+    # non-numeric ids must not share one stream
+    assert states["a"] != states["b"]
+    # t<digits> ids keep their numeric key, so eval outputs do not move
+    ref = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(4, 7)))
+    assert states["t00007"] == ref.bit_generator.state
 
 
 def test_aggregate_scaling_and_none_columns():

@@ -131,6 +131,25 @@ def test_forward_vec_output_is_unit_or_zero():
     assert isinstance(v, float)
 
 
+def test_forward_vec_matches_numpy_reference_with_biases():
+    # init_params zeroes every bias, so draw non-zero ones here
+    rng = np.random.default_rng(4)
+    params = {
+        "w1": rng.normal(0.0, 0.05, (policy.IN_DIM, policy.HIDDEN)),
+        "b1": rng.normal(0.0, 0.05, policy.HIDDEN),
+        "w2": rng.normal(0.0, 0.05, (policy.HIDDEN, policy.HIDDEN)),
+        "b2": rng.normal(0.0, 0.05, policy.HIDDEN),
+        "wv": rng.normal(0.0, 0.05, policy.HIDDEN),
+        "bv": np.array([0.17]),
+    }
+    x = rng.normal(0.0, 1.0, policy.IN_DIM)
+    h, v = policy.forward_vec(params, x)
+    t1_ref = np.tanh(x @ params["w1"] + params["b1"])
+    t2_ref = np.tanh(t1_ref @ params["w2"] + params["b2"])
+    assert np.allclose(h, t2_ref / np.linalg.norm(t2_ref), atol=1e-12)
+    assert v == pytest.approx(t2_ref @ params["wv"] + 0.17, abs=1e-12)
+
+
 def test_forward_batch_agrees_with_forward_vec():
     params = policy.init_params(np.random.default_rng(11))
     rng = np.random.default_rng(12)

@@ -44,17 +44,19 @@ def test_compose_step_rewards():
 
 def test_gae_matches_reference_recursion():
     rng = np.random.default_rng(22)
-    for _ in range(20):
-        t = int(rng.integers(1, 30))
+    for case in range(45):
+        t = int(rng.integers(1, 40))
+        # the training defaults first, then random discount and trace factors
+        gamma, lam = (0.99, 0.95) if case < 20 else map(float, rng.uniform(0.5, 1.0, 2))
         rewards = rng.normal(0.0, 1.0, t)
         values = rng.normal(0.0, 1.0, t)
-        adv, ret = trainer.compute_gae(rewards, values, 0.99, 0.95)
+        adv, ret = trainer.compute_gae(rewards, values, gamma, lam)
         expected = np.zeros(t)
         run = 0.0
         for i in reversed(range(t)):
             nxt = values[i + 1] if i + 1 < t else 0.0
-            delta = rewards[i] + 0.99 * nxt - values[i]
-            run = delta + 0.99 * 0.95 * run
+            delta = rewards[i] + gamma * nxt - values[i]
+            run = delta + gamma * lam * run
             expected[i] = run
         assert np.allclose(adv, expected, atol=1e-12)
         assert np.allclose(ret, expected + values, atol=1e-12)
