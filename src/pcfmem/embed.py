@@ -7,6 +7,7 @@ No learned weights anywhere; identical strings always embed identically.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +42,9 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+# a pure function of the token; a corpus has tens of thousands of distinct
+# tokens and bigrams
+@functools.lru_cache(maxsize=None)
 def _bucket(token: str) -> tuple[int, float]:
     h = fnv1a64(token)
     idx = h % TEXT_DIM

@@ -7,10 +7,15 @@ active bank; a linear value head shares the trunk. Ordered K-subsets are
 drawn by Gumbel perturbation and scored with the exact sequential
 without-replacement log-probability. All gradients are hand-derived and
 checked against finite differences in the tests.
+
+The six parameters, and their gradients, are views into one contiguous
+float64 vector in PARAM_KEYS order, so the optimizer and gradient clipping
+each make one pass over it. Checkpoints keep one array per key.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,24 +30,62 @@ TAU = 0.1
 CHECKPOINT_VERSION = 1
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "wv", "bv")
+PARAM_SHAPES = {
+    "w1": (IN_DIM, HIDDEN),
+    "b1": (HIDDEN,),
+    "w2": (HIDDEN, HIDDEN),
+    "b2": (HIDDEN,),
+    "wv": (HIDDEN,),
+    "bv": (1,),
+}
+# offsets of each parameter in the flat vector, and its total length
+_STARTS = tuple(
+    itertools.accumulate((math.prod(PARAM_SHAPES[k]) for k in PARAM_KEYS), initial=0)
+)
+N_PARAMS = _STARTS[-1]
 
 
 class NumericError(RuntimeError):
     """Non-finite quantity inside an update."""
 
 
-def init_params(rng: np.random.Generator) -> dict:
-    def layer(fan_in, shape):
-        return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape)
-
+def _tree(flat: np.ndarray) -> dict:
+    """The six parameters as views into one owned flat float64 vector."""
     return {
-        "w1": layer(IN_DIM, (IN_DIM, HIDDEN)),
-        "b1": np.zeros(HIDDEN),
-        "w2": layer(HIDDEN, (HIDDEN, HIDDEN)),
-        "b2": np.zeros(HIDDEN),
-        "wv": layer(HIDDEN, (HIDDEN,)),
-        "bv": np.zeros(1),
+        k: flat[_STARTS[i] : _STARTS[i + 1]].reshape(PARAM_SHAPES[k])
+        for i, k in enumerate(PARAM_KEYS)
     }
+
+
+def flat_view(tree: dict) -> np.ndarray:
+    """The flat vector behind a parameter or gradient tree built by this module.
+
+    Raises TypeError for any other dict, such as one of separate arrays.
+    """
+    flat = tree["w1"].base
+    ok = (
+        isinstance(flat, np.ndarray)
+        and flat.shape == (N_PARAMS,)
+        and flat.dtype == np.float64
+    )
+    if ok:
+        start = flat.ctypes.data
+        ok = all(
+            tree[k].base is flat
+            and tree[k].shape == PARAM_SHAPES[k]
+            and tree[k].ctypes.data == start + 8 * _STARTS[i]
+            for i, k in enumerate(PARAM_KEYS)
+        )
+    if not ok:
+        raise TypeError("parameters are not views into one flat float64 vector")
+    return flat
+
+
+def init_params(rng: np.random.Generator) -> dict:
+    params = _tree(np.zeros(N_PARAMS))
+    for k, fan_in in (("w1", IN_DIM), ("w2", HIDDEN), ("wv", HIDDEN)):
+        params[k][...] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=PARAM_SHAPES[k])
+    return params
 
 
 def save_checkpoint(path: str, params: dict, seed: int) -> None:
@@ -55,11 +98,23 @@ def save_checkpoint(path: str, params: dict, seed: int) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[dict, int]:
-    data = np.load(path)
-    if int(data["version"][0]) != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version {data['version'][0]} unsupported")
-    params = {k: np.array(data[k]) for k in PARAM_KEYS}
-    return params, int(data["seed"][0])
+    with np.load(path) as data:
+        missing = [k for k in ("version", "seed", *PARAM_KEYS) if k not in data.files]
+        if missing:
+            raise ValueError(f"checkpoint lacks {', '.join(missing)}")
+        if int(data["version"][0]) != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint version {data['version'][0]} unsupported")
+        arrays = {k: data[k] for k in PARAM_KEYS}
+        seed = int(data["seed"][0])
+    for k, arr in arrays.items():
+        if arr.shape != PARAM_SHAPES[k]:
+            raise ValueError(
+                f"checkpoint {k} has shape {arr.shape}, expected {PARAM_SHAPES[k]}"
+            )
+    params = _tree(np.empty(N_PARAMS))
+    for k, arr in arrays.items():
+        params[k][...] = arr
+    return params, seed
 
 
 def pool_memory(span_emb: np.ndarray, entry_embs: list[np.ndarray]) -> np.ndarray:
@@ -107,8 +162,9 @@ def skill_logits(h: np.ndarray, u_matrix: np.ndarray, bias: np.ndarray) -> np.nd
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sample_topk(z: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
@@ -142,36 +198,45 @@ def action_logprob(z: np.ndarray, action: list[int]) -> float:
     return lp
 
 
+def _ordered_logprob_rows(
+    p: np.ndarray, actions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ordered without-replacement log-probability and its gradient
+    in the logits, for probabilities p (B, S) and ordered picks (B, K)."""
+    b, k = actions.shape
+    rows = np.arange(b)[:, None]
+    p_act = p[rows, actions]
+    # s[:, j]: probability consumed by the picks before pick j
+    s = np.zeros((b, k))
+    for j in range(1, k):
+        s[:, j] = s[:, j - 1] + p_act[:, j - 1]
+    denom = np.maximum(1.0 - s, 1e-300)
+    lp = (np.log(np.maximum(p_act, 1e-300)) - np.log(denom)).sum(axis=1)
+    # d/dz_i of -sum_j log(1 - s_j) = sum_j t_j * d s_j/dz_i
+    # with d p_a/dz_i = p_a (delta_ai - p_i); w[:, l] sums t_j over j > l
+    t = 1.0 / denom
+    w = np.zeros((b, k))
+    for j in range(k - 2, -1, -1):
+        w[:, j] = w[:, j + 1] + t[:, j + 1]
+    grad = -k * p
+    grad[rows, actions] += 1.0
+    grad -= p * (t * s).sum(axis=1, keepdims=True)
+    grad[rows, actions] += w * p_act
+    return lp, grad
+
+
 def logprob_grad_z(z: np.ndarray, action: list[int]) -> np.ndarray:
     """d action_logprob / dz (see tests for the FD check)."""
-    p = softmax(z)
-    k = len(action)
-    grad = -k * p
-    for a in action:
-        grad[a] += 1.0
-    # denominators: for pick j, s_j = sum of p over earlier picks
-    s = 0.0
-    t_vals = []
-    s_vals = []
-    for j, a in enumerate(action):
-        s_vals.append(s)
-        t_vals.append(1.0 / max(1.0 - s, 1e-300))
-        s += p[a]
-    # d/dz_i of -sum_j log(1 - s_j) = sum_j T_j * d s_j/dz_i
-    # with d p_a/dz_i = p_a (delta_ai - p_i)
-    coef = sum(t * sv for t, sv in zip(t_vals, s_vals))
-    grad -= p * coef
-    for l, a in enumerate(action):
-        w = sum(t_vals[j] for j in range(l + 1, k))
-        grad[a] += w * p[a]
-    return grad
+    _, grad = _ordered_logprob_rows(softmax(z)[None, :], np.array([action]))
+    return grad[0]
 
 
-def first_pick_entropy(z: np.ndarray) -> tuple[float, np.ndarray]:
+def first_pick_entropy(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy of softmax(z) along the last axis, and its gradient in z."""
     p = softmax(z)
     logp = np.log(np.maximum(p, 1e-300))
-    h = -float(np.dot(p, logp))
-    dh = -p * (logp + h)
+    h = -np.sum(p * logp, axis=-1)
+    dh = -p * (logp + h[..., None])
     return h, dh
 
 
@@ -186,44 +251,40 @@ def forward_batch(params: dict, x: np.ndarray) -> dict:
 
 
 def zero_grads() -> dict:
-    return {
-        "w1": np.zeros((IN_DIM, HIDDEN)),
-        "b1": np.zeros(HIDDEN),
-        "w2": np.zeros((HIDDEN, HIDDEN)),
-        "b2": np.zeros(HIDDEN),
-        "wv": np.zeros(HIDDEN),
-        "bv": np.zeros(1),
-    }
+    return _tree(np.zeros(N_PARAMS))
 
 
 def backward_batch(params: dict, cache: dict, d_h: np.ndarray, d_v: np.ndarray) -> dict:
-    """Backprop d loss/d params given gradients at h (rows) and v."""
+    """Backprop d loss/d params given gradients at h (rows) and v.
+
+    The gradients are written straight into the views of one flat vector.
+    """
     t1, t2, norms, h = cache["t1"], cache["t2"], cache["norms"], cache["h"]
     # h = t2/||t2||: project out the radial component
     inner = np.sum(d_h * h, axis=1, keepdims=True)
     d_t2 = (d_h - h * inner) / norms
     d_t2 = d_t2 + d_v[:, None] * params["wv"][None, :]
-    grads = {}
-    grads["wv"] = t2.T @ d_v
-    grads["bv"] = np.array([d_v.sum()])
+    grads = _tree(np.empty(N_PARAMS))
+    np.matmul(t2.T, d_v, out=grads["wv"])
+    grads["bv"][0] = d_v.sum()
     d_a2 = d_t2 * (1.0 - t2 * t2)
-    grads["w2"] = t1.T @ d_a2
-    grads["b2"] = d_a2.sum(axis=0)
+    np.matmul(t1.T, d_a2, out=grads["w2"])
+    d_a2.sum(axis=0, out=grads["b2"])
     d_t1 = d_a2 @ params["w2"].T
     d_a1 = d_t1 * (1.0 - t1 * t1)
-    grads["w1"] = cache["x"].T @ d_a1
-    grads["b1"] = d_a1.sum(axis=0)
+    np.matmul(cache["x"].T, d_a1, out=grads["w1"])
+    d_a1.sum(axis=0, out=grads["b1"])
     return grads
 
 
 @dataclass
 class PPOBatch:
-    """Minibatch view: arrays plus per-sample logits context."""
+    """Minibatch of one inner epoch's transitions, which share one skill bank."""
 
     x: np.ndarray  # (B, 520)
-    u_mats: list  # per-sample skill embedding matrix (S_i, 256)
-    biases: list  # per-sample bias vector (S_i,)
-    actions: list  # per-sample ordered index lists
+    u_mat: np.ndarray  # skill embedding matrix (S, 256)
+    bias: np.ndarray  # logit bias (S,)
+    actions: np.ndarray  # ordered picks (B, K)
     logprob_old: np.ndarray
     advantages: np.ndarray
     returns: np.ndarray
@@ -235,73 +296,57 @@ def ppo_loss_and_grads(
     clip: float,
     value_coef: float,
     entropy_coef: float,
-) -> tuple[float, dict | None, dict]:
+) -> tuple[float, dict, dict]:
+    """Clipped-surrogate loss, value loss and first-pick entropy bonus of one
+    minibatch, with gradients as one flat tree. Raises NumericError on
+    non-finite advantages or loss."""
+    if not np.isfinite(batch.advantages).all():
+        raise NumericError("non-finite advantages in a PPO minibatch")
     b = batch.x.shape[0]
     cache = forward_batch(params, batch.x)
     h, v = cache["h"], cache["v"]
+    u_mat = batch.u_mat
 
-    d_h = np.zeros_like(h)
-    d_v = np.zeros(b)
-    surr_total = 0.0
-    v_total = 0.0
-    ent_total = 0.0
-    ratios = np.empty(b)
-    clipped = 0
-    kl_total = 0.0
+    z = (h @ u_mat.T) / TAU + batch.bias
+    lp, g_lp = _ordered_logprob_rows(softmax(z), batch.actions)
+    ent, d_ent = first_pick_entropy(z)
+    ratios = np.exp(lp - batch.logprob_old)
+    adv = batch.advantages
+    m1 = ratios * adv
+    m2 = np.maximum(np.minimum(ratios, 1.0 + clip), 1.0 - clip) * adv
+    d_lp = np.where(m1 <= m2, -adv * ratios, 0.0)
+    d_z = (d_lp / b)[:, None] * g_lp - (entropy_coef / b) * d_ent
+    d_h = (d_z @ u_mat) / TAU
 
-    for i in range(b):
-        u_mat = batch.u_mats[i]
-        z = (u_mat @ h[i]) / TAU + batch.biases[i]
-        lp = action_logprob(z, batch.actions[i])
-        ratio = math.exp(lp - batch.logprob_old[i])
-        ratios[i] = ratio
-        adv = batch.advantages[i]
-        m1 = ratio * adv
-        m2 = max(min(ratio, 1.0 + clip), 1.0 - clip) * adv
-        surr_total += -min(m1, m2)
-        kl_total += batch.logprob_old[i] - lp
-        if not (1.0 - clip < ratio < 1.0 + clip):
-            clipped += 1
+    err = v - batch.returns
+    d_v = value_coef * 2.0 * err / b
 
-        d_lp = (-adv * ratio) if m1 <= m2 else 0.0
-        ent, d_ent = first_pick_entropy(z)
-        ent_total += ent
-        d_z = (d_lp / b) * logprob_grad_z(z, batch.actions[i]) - (
-            entropy_coef / b
-        ) * d_ent
-        d_h[i] = (u_mat.T @ d_z) / TAU
-
-        err = v[i] - batch.returns[i]
-        v_total += err * err
-        d_v[i] = value_coef * 2.0 * err / b
-
+    surr_total = float(-np.minimum(m1, m2).sum())
+    v_total = float(np.dot(err, err))
+    ent_total = float(ent.sum())
     loss = surr_total / b + value_coef * (v_total / b) - entropy_coef * (ent_total / b)
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite PPO loss {loss}")
+    clipped = np.count_nonzero(~((1.0 - clip < ratios) & (ratios < 1.0 + clip)))
     stats = {
         "mean_ratio": float(ratios.mean()),
         "clip_fraction": clipped / b,
-        "approx_kl": float(kl_total / b),
-        "entropy": float(ent_total / b),
-        "value_loss": float(v_total / b),
+        "approx_kl": float((batch.logprob_old - lp).sum() / b),
+        "entropy": ent_total / b,
+        "value_loss": v_total / b,
     }
-    if not math.isfinite(loss):
-        stats["non_finite"] = True
-        return loss, None, stats
     grads = backward_batch(params, cache, d_h, d_v)
     return loss, grads, stats
 
 
 def global_grad_norm(grads: dict) -> float:
-    total = 0.0
-    for k in PARAM_KEYS:
-        g = grads[k]
-        total += float(np.sum(g * g))
-    return math.sqrt(total)
+    flat = flat_view(grads)
+    return math.sqrt(float(np.dot(flat, flat)))
 
 
 def clip_grads_(grads: dict, max_norm: float) -> float:
     norm = global_grad_norm(grads)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for k in PARAM_KEYS:
-            grads[k] *= scale
+        flat = flat_view(grads)
+        flat *= max_norm / norm
     return norm

@@ -48,8 +48,12 @@ _U_CACHE: dict = {}
 
 
 def skill_matrix(bank: SkillBank) -> np.ndarray:
-    """Embedding matrix of active skill descriptions, cached per bank state."""
-    key = (bank.bank_version, tuple(bank.ids()))
+    """Embedding matrix of active skill descriptions, cached per description list.
+
+    Keyed on the descriptions themselves: two banks of one version can hold
+    one skill id with different descriptions.
+    """
+    key = tuple(s.description for s in bank.skills)
     u = _U_CACHE.get(key)
     if u is None:
         u = np.stack([embed.embed_text(s.description) for s in bank.skills])
@@ -60,8 +64,6 @@ def skill_matrix(bank: SkillBank) -> np.ndarray:
 @dataclass
 class Transition:
     x: Optional[np.ndarray]
-    u_mat: Optional[np.ndarray]
-    bias: Optional[np.ndarray]
     action: list[int]
     logprob: float
     value: float
@@ -128,8 +130,6 @@ def run_episode(
         out.transitions.append(
             Transition(
                 x=x,
-                u_mat=u_mat if mode != "random" else None,
-                bias=np.array(bias) if mode != "random" else None,
                 action=action,
                 logprob=logprob,
                 value=value,

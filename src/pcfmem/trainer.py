@@ -89,7 +89,7 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over the policy parameter dict."""
+    """Decoupled weight decay Adam over the flat policy parameter vector."""
 
     def __init__(self, lr: float, weight_decay: float, b1: float = 0.9, b2: float = 0.999):
         self.lr = lr
@@ -97,23 +97,40 @@ class AdamW:
         self.b1, self.b2 = b1, b2
         self.eps = 1e-8
         self.t = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        # flat first and second moments, and two scratch vectors
+        self.m = np.zeros(policy.N_PARAMS)
+        self.v = np.zeros(policy.N_PARAMS)
+        self._a = np.empty(policy.N_PARAMS)
+        self._b = np.empty(policy.N_PARAMS)
 
     def step(self, params: dict, grads: dict) -> None:
+        """One in-place pass over the flat vectors of params and grads.
+
+        The operations and their order are those of the textbook update
+            m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+            p = p - lr (m_hat / (sqrt(v_hat) + eps) + wd p),
+        so the result is bitwise equal to evaluating it array by array.
+        """
+        p = policy.flat_view(params)
+        g = policy.flat_view(grads)
         self.t += 1
-        for k in policy.PARAM_KEYS:
-            g = grads[k]
-            if k not in self.m:
-                self.m[k] = np.zeros_like(g)
-                self.v[k] = np.zeros_like(g)
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            mhat = self.m[k] / (1 - self.b1**self.t)
-            vhat = self.v[k] / (1 - self.b2**self.t)
-            params[k] = params[k] - self.lr * (
-                mhat / (np.sqrt(vhat) + self.eps) + self.wd * params[k]
-            )
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= self.b1
+        np.multiply(g, 1 - self.b1, out=a)
+        m += a
+        v *= self.b2
+        np.multiply(g, 1 - self.b2, out=a)
+        a *= g
+        v += a
+        np.divide(v, 1 - self.b2**self.t, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, 1 - self.b1**self.t, out=b)
+        np.divide(b, a, out=a)
+        np.multiply(p, self.wd, out=b)
+        a += b
+        a *= self.lr
+        p -= a
 
 
 def ppo_update(
@@ -124,10 +141,27 @@ def ppo_update(
     cfg: PPOConfig,
     opt: AdamW,
     rng: np.random.Generator,
+    u_mat: np.ndarray,
+    bias: np.ndarray,
 ) -> dict:
-    """Four clipped-surrogate epochs over shuffled minibatches."""
+    """Four clipped-surrogate epochs over shuffled minibatches.
+
+    Every transition comes from one inner epoch, so all share the skill
+    matrix u_mat (S, 256) and the logit bias (S,). Raises NumericError when a
+    step leaves a non-finite parameter.
+    """
     n = len(transitions)
     x = np.stack([tr.x for tr in transitions])
+    actions = np.array([tr.action for tr in transitions], dtype=np.intp)
+    logprob_old = np.array([tr.logprob for tr in transitions])
+    if bias.shape != (u_mat.shape[0],) or actions.max() >= len(bias):
+        raise ValueError(
+            f"actions {actions.shape} do not fit a bank of {u_mat.shape[0]} skills "
+            f"with bias {bias.shape}"
+        )
+    flat = policy.flat_view(params)
+    # "skipped" is always 0, since a non-finite minibatch raises; the key stays
+    # in results.json for its readers
     stats_acc: dict = {"updates": 0, "skipped": 0}
     last_stats: dict = {}
     for _ in range(cfg.epochs_per_update):
@@ -136,22 +170,20 @@ def ppo_update(
             idx = order[s : s + cfg.minibatch]
             batch = policy.PPOBatch(
                 x=x[idx],
-                u_mats=[transitions[i].u_mat for i in idx],
-                biases=[transitions[i].bias for i in idx],
-                actions=[transitions[i].action for i in idx],
-                logprob_old=np.array([transitions[i].logprob for i in idx]),
+                u_mat=u_mat,
+                bias=bias,
+                actions=actions[idx],
+                logprob_old=logprob_old[idx],
                 advantages=advantages[idx],
                 returns=returns[idx],
             )
-            loss, grads, stats = policy.ppo_loss_and_grads(
+            _, grads, stats = policy.ppo_loss_and_grads(
                 params, batch, cfg.clip, cfg.value_coef, cfg.entropy_coef
             )
-            if grads is None:
-                stats_acc["skipped"] += 1
-                stats_acc["non_finite"] = True
-                continue
             policy.clip_grads_(grads, cfg.grad_clip)
             opt.step(params, grads)
+            if not np.isfinite(flat).all():
+                raise policy.NumericError("non-finite policy parameter after a PPO step")
             stats_acc["updates"] += 1
             last_stats = stats
     stats_acc.update({f"last_{k}": v for k, v in last_stats.items()})
@@ -255,7 +287,10 @@ def run_inner_loop(
             upd_rng = np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(11, outer_epoch, inner))
             )
-            stats = ppo_update(params, transitions, advantages, returns, cfg, opt, upd_rng)
+            stats = ppo_update(
+                params, transitions, advantages, returns, cfg, opt, upd_rng,
+                rollout.skill_matrix(bank), bias,
+            )
             entry["ppo"] = {
                 k: stats[k]
                 for k in ("updates", "skipped", "last_approx_kl", "last_entropy")

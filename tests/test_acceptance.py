@@ -181,9 +181,9 @@ def test_criterion_03_analytic_gradients_match_finite_differences():
             lps.append(policy.action_logprob(z, action))
         batch = policy.PPOBatch(
             x=xs,
-            u_mats=[u_mat] * 4,
-            biases=[bias] * 4,
-            actions=actions,
+            u_mat=u_mat,
+            bias=bias,
+            actions=np.array(actions),
             logprob_old=np.array(lps),
             advantages=rng.normal(0.0, 1.0, 4),
             returns=rng.normal(0.0, 1.0, 4),

@@ -4,9 +4,10 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
-from pcfmem import cli
+from pcfmem import cli, trainer
 from pcfmem.datagen import CorpusFormatError
 
 
@@ -156,3 +157,23 @@ def test_run_config_round_trip(tmp_path):
     ppo = loaded.ppo()
     assert ppo.inner_epochs == 2
     assert ppo.beta == 1.0
+
+
+def test_evolve_exits_three_on_non_finite_training(tmp_path, capsys, monkeypatch):
+    code, _, _ = _run(
+        ["gen-data", "--n-traces", "80", "--seed", "5", "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    monkeypatch.setattr(
+        trainer, "normalize_advantages", lambda adv: np.full_like(adv, np.nan)
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch": 2}))
+    code, _, err = _run(
+        ["evolve", "--config", str(cfg), "--outer", "1", "--inner", "1",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == cli.EXIT_NUMERIC == 3
+    assert "numeric failure" in err
+    assert not (tmp_path / "results.json").exists()

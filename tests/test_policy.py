@@ -1,12 +1,13 @@
 """Controller math: exact ordered sampling probabilities and hand gradients."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pcfmem import policy
+from pcfmem import policy, trainer
 
 
 def brute_logprob(z, action):
@@ -169,6 +170,9 @@ def test_checkpoint_round_trip(tmp_path):
     assert seed == 42
     for k in policy.PARAM_KEYS:
         assert np.array_equal(loaded[k], params[k])
+    # the loaded arrays are views of one flat vector, which the optimizer takes
+    assert np.array_equal(policy.flat_view(loaded), policy.flat_view(params))
+    trainer.AdamW(lr=1e-3, weight_decay=0.01).step(loaded, policy.zero_grads())
 
 
 def test_checkpoint_version_guard(tmp_path):
@@ -201,22 +205,22 @@ def test_ppo_loss_reports_stats_and_nonfinite_guard():
     rng = np.random.default_rng(15)
     params = policy.init_params(np.random.default_rng(16))
     n_sk = 5
+    u = rng.normal(0.0, 1.0, (n_sk, policy.HIDDEN))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    b = np.zeros(n_sk)
     rows = []
     for _ in range(3):
         x = rng.normal(0.0, 1.0, policy.IN_DIM)
-        u = rng.normal(0.0, 1.0, (n_sk, policy.HIDDEN))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        b = np.zeros(n_sk)
         action = [int(a) for a in rng.permutation(n_sk)[:2]]
         cache = policy.forward_batch(params, x[None, :])
         z = (u @ cache["h"][0]) / policy.TAU + b
-        rows.append((x, u, b, action, policy.action_logprob(z, action)))
+        rows.append((x, action, policy.action_logprob(z, action)))
     batch = policy.PPOBatch(
         x=np.stack([r[0] for r in rows]),
-        u_mats=[r[1] for r in rows],
-        biases=[r[2] for r in rows],
-        actions=[r[3] for r in rows],
-        logprob_old=np.array([r[4] for r in rows]),
+        u_mat=u,
+        bias=b,
+        actions=np.array([r[1] for r in rows]),
+        logprob_old=np.array([r[2] for r in rows]),
         advantages=np.array([0.5, -0.2, 1.0]),
         returns=np.array([0.1, 0.4, -0.3]),
     )
@@ -227,15 +231,137 @@ def test_ppo_loss_reports_stats_and_nonfinite_guard():
     assert stats["clip_fraction"] == 0.0
     assert stats["approx_kl"] == pytest.approx(0.0, abs=1e-9)
 
-    bad = policy.PPOBatch(
-        x=batch.x,
-        u_mats=batch.u_mats,
-        biases=batch.biases,
-        actions=batch.actions,
-        logprob_old=batch.logprob_old,
-        advantages=np.array([np.nan, -0.2, 1.0]),
-        returns=batch.returns,
+    bad = dataclasses.replace(batch, advantages=np.array([np.nan, -0.2, 1.0]))
+    with pytest.raises(policy.NumericError, match="advantages"):
+        policy.ppo_loss_and_grads(params, bad, 0.2, 0.5, 0.01)
+    bad_returns = dataclasses.replace(batch, returns=np.array([np.inf, 0.4, -0.3]))
+    with pytest.raises(policy.NumericError, match="loss"):
+        policy.ppo_loss_and_grads(params, bad_returns, 0.2, 0.5, 0.01)
+
+
+def _loop_logprob_grad_z(z, action):
+    """The ordered without-replacement log-probability gradient, one row."""
+    p = policy.softmax(z)
+    k = len(action)
+    grad = -k * p
+    for a in action:
+        grad[a] += 1.0
+    s, t_vals, s_vals = 0.0, [], []
+    for a in action:
+        s_vals.append(s)
+        t_vals.append(1.0 / max(1.0 - s, 1e-300))
+        s += p[a]
+    grad -= p * sum(t * sv for t, sv in zip(t_vals, s_vals))
+    for pos, a in enumerate(action):
+        grad[a] += sum(t_vals[j] for j in range(pos + 1, k)) * p[a]
+    return grad
+
+
+def _loop_ppo_loss(params, batch, clip, value_coef, entropy_coef):
+    """Per-row reference of the PPO loss: one row of the minibatch at a time."""
+    b = batch.x.shape[0]
+    cache = policy.forward_batch(params, batch.x)
+    d_h = np.zeros_like(cache["h"])
+    d_v = np.zeros(b)
+    surr_total = v_total = ent_total = kl_total = 0.0
+    ratios, branches = [], set()
+    for i in range(b):
+        z = (batch.u_mat @ cache["h"][i]) / policy.TAU + batch.bias
+        action = [int(a) for a in batch.actions[i]]
+        lp = brute_logprob(z, action)
+        ratio = math.exp(lp - batch.logprob_old[i])
+        ratios.append(ratio)
+        adv = batch.advantages[i]
+        m1 = ratio * adv
+        m2 = max(min(ratio, 1.0 + clip), 1.0 - clip) * adv
+        branches.add(m1 <= m2)
+        surr_total += -min(m1, m2)
+        kl_total += batch.logprob_old[i] - lp
+        p = policy.softmax(z)
+        ent = -float(np.dot(p, np.log(p)))
+        d_ent = -p * (np.log(p) + ent)
+        ent_total += ent
+        d_lp = (-adv * ratio) if m1 <= m2 else 0.0
+        d_z = (d_lp / b) * _loop_logprob_grad_z(z, action) - (entropy_coef / b) * d_ent
+        d_h[i] = (batch.u_mat.T @ d_z) / policy.TAU
+        err = cache["v"][i] - batch.returns[i]
+        v_total += err * err
+        d_v[i] = value_coef * 2.0 * err / b
+    loss = surr_total / b + value_coef * (v_total / b) - entropy_coef * (ent_total / b)
+    stats = {
+        "mean_ratio": float(np.mean(ratios)),
+        "approx_kl": kl_total / b,
+        "entropy": ent_total / b,
+        "value_loss": v_total / b,
+    }
+    return loss, policy.backward_batch(params, cache, d_h, d_v), stats, branches, ratios
+
+
+@pytest.mark.parametrize("n_sk,k", [(6, 1), (7, 2), (8, 3), (1, 1), (2, 2), (3, 3)])
+def test_vectorised_ppo_loss_matches_per_row_loop(n_sk, k):
+    clip = 0.2
+    seen_branches, seen_clipped, seen_inside = set(), False, False
+    for inst in range(4):
+        rng = np.random.default_rng(100 * n_sk + 10 * k + inst)
+        params = policy.init_params(rng)
+        bsz = 16
+        u = rng.normal(0.0, 1.0, (n_sk, policy.HIDDEN))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        bias = rng.normal(0.0, 0.5, n_sk)
+        x = rng.normal(0.0, 1.0, (bsz, policy.IN_DIM))
+        actions = np.array([rng.permutation(n_sk)[:k] for _ in range(bsz)])
+        z = (policy.forward_batch(params, x)["h"] @ u.T) / policy.TAU + bias
+        lp_now = np.array(
+            [policy.action_logprob(z[i], list(actions[i])) for i in range(bsz)]
+        )
+        # old log-probabilities off by up to 0.5 put ratios on both sides of the clip
+        batch = policy.PPOBatch(
+            x=x,
+            u_mat=u,
+            bias=bias,
+            actions=actions,
+            logprob_old=lp_now + rng.uniform(-0.5, 0.5, bsz),
+            advantages=rng.normal(0.0, 1.0, bsz),
+            returns=rng.normal(0.0, 1.0, bsz),
+        )
+        loss, grads, stats = policy.ppo_loss_and_grads(params, batch, clip, 0.5, 0.01)
+        ref_loss, ref_grads, ref_stats, branches, ratios = _loop_ppo_loss(
+            params, batch, clip, 0.5, 0.01
+        )
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-15)
+        for key in policy.PARAM_KEYS:
+            diff = np.linalg.norm(grads[key] - ref_grads[key])
+            assert diff <= 1e-12 * np.linalg.norm(ref_grads[key]) + 1e-300, key
+        for name, value in ref_stats.items():
+            assert stats[name] == pytest.approx(value, rel=1e-12, abs=1e-15), name
+        clipped = sum(not (1.0 - clip < r < 1.0 + clip) for r in ratios)
+        assert stats["clip_fraction"] == clipped / bsz
+        seen_branches |= branches
+        seen_clipped |= clipped > 0
+        seen_inside |= clipped < bsz
+    assert seen_branches == {True, False}
+    assert seen_clipped and seen_inside
+
+
+def test_parameters_and_gradients_are_views_of_one_flat_vector():
+    params = policy.init_params(np.random.default_rng(17))
+    flat = policy.flat_view(params)
+    assert flat.shape == (policy.N_PARAMS,)
+    assert np.array_equal(
+        flat, np.concatenate([params[k].ravel() for k in policy.PARAM_KEYS])
     )
-    loss2, grads2, stats2 = policy.ppo_loss_and_grads(params, bad, 0.2, 0.5, 0.01)
-    assert grads2 is None
-    assert stats2.get("non_finite") is True
+    flat[-1] = 2.5
+    assert params["bv"][0] == 2.5
+    policy.flat_view(policy.zero_grads())
+    with pytest.raises(TypeError):
+        policy.flat_view({k: v.copy() for k, v in params.items()})
+
+
+def test_checkpoint_shape_guard(tmp_path):
+    params = policy.init_params(np.random.default_rng(18))
+    arrays = {k: params[k] for k in policy.PARAM_KEYS}
+    arrays["w1"] = params["w1"][:-1]  # (IN_DIM - 1, HIDDEN)
+    path = str(tmp_path / "checkpoint.npz")
+    np.savez(path, version=np.array([policy.CHECKPOINT_VERSION]), seed=np.array([0]), **arrays)
+    with pytest.raises(ValueError, match="w1"):
+        policy.load_checkpoint(path)

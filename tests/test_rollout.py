@@ -33,7 +33,6 @@ def test_episode_shape_and_reward_bounds(one_trace):
         assert -0.2 <= t.reward <= 0.2
         assert np.isfinite(t.logprob)
         assert t.x.shape == (policy.IN_DIM,)
-        assert t.u_mat.shape == (len(bank.skills), embed.TEXT_DIM)
 
 
 def test_random_mode_needs_no_params(one_trace):
@@ -41,8 +40,6 @@ def test_random_mode_needs_no_params(one_trace):
     ep = _run(one_trace, bank, None, "random", seed=4)
     for t in ep.transitions:
         assert t.x is None
-        assert t.u_mat is None
-        assert t.bias is None
         assert t.logprob == 0.0
         assert t.value == 0.0
     # memory still gets written by whatever skills were drawn
@@ -93,7 +90,6 @@ def test_bias_steers_first_pick(one_trace):
             k_retrieve=5, top_k=1, mode="greedy", rng=None, bias=bias,
         )
         assert all(t.action[0] == want for t in ep.transitions)
-        assert all(np.array_equal(t.bias, bias) for t in ep.transitions)
 
 
 def test_skill_matrix_cache_tracks_bank_version():
@@ -105,7 +101,27 @@ def test_skill_matrix_cache_tracks_bank_version():
         bank, [skills.BankChange(op="retire", target_id=bank.skills[1].id)]
     )
     u3 = rollout.skill_matrix(mutated)
-    assert u3.shape[0] == len(bank.skills) - 1
+    assert u3.shape == (len(bank.skills) - 1, embed.TEXT_DIM)
+
+
+def test_skill_matrix_tells_apart_banks_that_share_ids():
+    # both catalogue deletes are named delete_invalid_assumption_v2
+    base = skills.initial_bank()
+    target = next(s.id for s in base.skills if s.template_id == "delete_invalid")
+    banks = [
+        skills.mutate(base, [skills.BankChange(
+            op="replace", target_id=target,
+            skill=skills.make_catalog_skill(name, 2, 1),
+        )])
+        for name in ("cross_verified_delete", "rollback_safe_delete")
+    ]
+    assert banks[0].ids() == banks[1].ids()
+    assert banks[0].bank_version == banks[1].bank_version
+    u0, u1 = rollout.skill_matrix(banks[0]), rollout.skill_matrix(banks[1])
+    assert not np.array_equal(u0, u1)
+    for bank, u in zip(banks, (u0, u1)):
+        expect = np.stack([embed.embed_text(s.description) for s in bank.skills])
+        assert np.array_equal(u, expect)
 
 
 def test_feature_cache_returns_identical_objects(one_trace):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pcfmem import policy, trainer
+from pcfmem import policy, rollout, trainer
 from pcfmem.trainer import AdamW, PPOConfig
 
 
@@ -101,14 +101,87 @@ def test_adamw_decouples_weight_decay():
 
 def test_adamw_first_step_magnitude():
     # with a constant gradient the first Adam step has size ~lr
-    params = {k: np.zeros_like(v) for k, v in policy.init_params(
-        np.random.default_rng(24)).items()}
+    params = policy.zero_grads()  # all-zero parameters, laid out flat
     grads = policy.zero_grads()
     grads["wv"][:] = 0.7
     opt = AdamW(lr=1e-3, weight_decay=0.0)
     opt.step(params, grads)
     assert np.allclose(params["wv"], -1e-3, atol=1e-9)
     assert np.all(params["w1"] == 0.0)
+
+
+def test_flat_adamw_is_bitwise_equal_to_the_per_key_formula():
+    rng = np.random.default_rng(25)
+    params = policy.init_params(rng)
+    ref = {k: params[k].copy() for k in policy.PARAM_KEYS}
+    m = {k: np.zeros_like(v) for k, v in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    lr, wd, b1, b2, eps = 3e-3, 0.01, 0.9, 0.999, 1e-8
+    opt = AdamW(lr=lr, weight_decay=wd, b1=b1, b2=b2)
+    for t in range(1, 21):
+        grads = policy.zero_grads()
+        policy.flat_view(grads)[:] = rng.normal(0.0, 0.1, policy.N_PARAMS)
+        opt.step(params, grads)
+        for k in policy.PARAM_KEYS:
+            g = grads[k]
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            mhat = m[k] / (1 - b1**t)
+            vhat = v[k] / (1 - b2**t)
+            ref[k] = ref[k] - lr * (mhat / (np.sqrt(vhat) + eps) + wd * ref[k])
+            assert np.array_equal(params[k], ref[k]), (t, k)
+
+
+def test_adamw_takes_only_flat_trees():
+    params = policy.init_params(np.random.default_rng(26))
+    separate = {k: a.copy() for k, a in params.items()}
+    with pytest.raises(TypeError):
+        AdamW(lr=1e-3, weight_decay=0.0).step(separate, policy.zero_grads())
+
+
+def _toy_transitions(rng, n, n_sk, k):
+    params = policy.init_params(rng)
+    u = rng.normal(0.0, 1.0, (n_sk, policy.HIDDEN))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    trs = [
+        rollout.Transition(
+            x=rng.normal(0.0, 1.0, policy.IN_DIM),
+            action=[int(a) for a in rng.permutation(n_sk)[:k]],
+            logprob=-1.0,
+            value=0.0,
+        )
+        for _ in range(n)
+    ]
+    return params, u, trs
+
+
+def test_ppo_update_raises_on_non_finite_parameters():
+    rng = np.random.default_rng(27)
+    params, u, trs = _toy_transitions(rng, 8, 4, 2)
+    # one minibatch, one step: only the parameter check can see it
+    cfg = PPOConfig(epochs_per_update=1, minibatch=8)
+    with pytest.raises(policy.NumericError, match="parameter"):
+        trainer.ppo_update(
+            params, trs, rng.normal(0.0, 1.0, 8), rng.normal(0.0, 1.0, 8), cfg,
+            AdamW(lr=np.inf, weight_decay=0.0), rng, u, np.zeros(4),
+        )
+
+
+def test_ppo_update_counts_minibatches_and_checks_the_skill_matrix():
+    rng = np.random.default_rng(28)
+    params, u, trs = _toy_transitions(rng, 10, 5, 3)
+    cfg = PPOConfig(epochs_per_update=2, minibatch=4)
+    stats = trainer.ppo_update(
+        params, trs, rng.normal(0.0, 1.0, 10), rng.normal(0.0, 1.0, 10), cfg,
+        AdamW(lr=1e-3, weight_decay=0.01), rng, u, np.zeros(5),
+    )
+    assert (stats["updates"], stats["skipped"]) == (6, 0)
+    assert np.isfinite(stats["last_approx_kl"])
+    with pytest.raises(ValueError):
+        trainer.ppo_update(
+            params, trs, np.zeros(10), np.zeros(10), cfg,
+            AdamW(lr=1e-3, weight_decay=0.01), rng, u[:2], np.zeros(2),
+        )
 
 
 def test_ppo_config_defaults():
