@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evalsuite, physics
+from . import datagen, evalsuite, physics
 from .datagen import Query, Trace
 from .physics import CallCounter, Geometry, SimResult, TargetSpec
 
@@ -340,11 +340,8 @@ def _baseline_row(
 ) -> dict:
     target = physics.target_from_dict(query.ground_truth["target"])
     ok, qual = evalsuite.success_quality(res, target)
-    text = (
-        f"parameters pitch {geom.pitch_um:.5g} um hole_d {geom.hole_d_um:.5g} um "
-        f"n_rings {geom.n_rings} yield dispersion {res.dispersion_ps_nm_km:.5g} "
-        f"ps per nm km and loss {res.loss_db_km:.4g} db per km at wavelength "
-        f"{target.lambda_um:.3g} um"
+    text = datagen.design_answer(
+        geom, res.dispersion_ps_nm_km, res.loss_db_km, target.lambda_um
     )
     return {
         "query_id": query.id,

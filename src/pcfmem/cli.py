@@ -47,37 +47,19 @@ CSV_COLUMNS = ("method", "f1", "design", "param", "trend", "succ", "qual", "phys
 
 
 @dataclasses.dataclass
-class RunConfig:
+class RunConfig(trainer.PPOConfig):
+    """Training settings (``trainer.PPOConfig``) plus the run's own."""
+
     seed: int = 0
     n_traces: int = 500
     workers: int = 1
     ablation: str = "full"
     data_dir: str = ""
-    gamma_d: float = 0.99
-    gae_lambda: float = 0.95
-    clip: float = 0.2
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
-    epochs_per_update: int = 4
-    minibatch: int = 32
-    grad_clip: float = 0.5
-    learning_rate: float = 1e-4
-    weight_decay: float = 0.01
-    gamma_r: float = 0.9
-    beta: float = 0.5
-    inner_epochs: int = 50
-    outer_epochs: int = 10
-    batch: int = 32
-    k_retrieve: int = 5
-    top_k: int = 2
-    designer_cadence: int = 1
-    max_skills: int = 12
-    bias_b0: float = 1.0
 
     def ppo(self) -> trainer.PPOConfig:
-        names = {f.name for f in dataclasses.fields(trainer.PPOConfig)}
-        vals = {k: v for k, v in dataclasses.asdict(self).items() if k in names}
-        return trainer.PPOConfig(**vals)
+        return trainer.PPOConfig(
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(trainer.PPOConfig)}
+        )
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -135,6 +117,7 @@ def _data_paths(base: str) -> dict:
 
 
 def _load_corpus(data_dir: str):
+    """(traces by id, queries, splits) of the corpus in ``data_dir``."""
     paths = _data_paths(data_dir)
     for p in paths.values():
         if not os.path.exists(p):
@@ -143,7 +126,7 @@ def _load_corpus(data_dir: str):
     queries = datagen.load_queries(paths["queries"])
     with open(paths["splits"], encoding="utf-8") as fh:
         splits = json.load(fh)
-    return traces, queries, splits
+    return {t.id: t for t in traces}, queries, splits
 
 
 def _split_queries(queries, trace_ids) -> list:
@@ -182,8 +165,7 @@ def cmd_gen_data(cfg: RunConfig, out: str) -> int:
 
 def _run_loop(cfg: RunConfig, out: str, evolve: bool) -> int:
     data_dir = cfg.data_dir or out
-    traces, queries, splits = _load_corpus(data_dir)
-    traces_by_id = {t.id: t for t in traces}
+    traces_by_id, queries, splits = _load_corpus(data_dir)
     ppo = cfg.ppo()
     if not evolve:
         ppo.outer_epochs = 0
@@ -217,8 +199,7 @@ def _run_loop(cfg: RunConfig, out: str, evolve: bool) -> int:
 
 def cmd_eval(cfg: RunConfig, out: str) -> int:
     data_dir = cfg.data_dir or out
-    traces, queries, splits = _load_corpus(data_dir)
-    traces_by_id = {t.id: t for t in traces}
+    traces_by_id, queries, splits = _load_corpus(data_dir)
     test_traces = [traces_by_id[i] for i in splits["test"]]
     test_queries = _split_queries(queries, splits["test"])
 
@@ -271,8 +252,7 @@ def cmd_baseline(cfg: RunConfig, out: str, kind: str) -> int:
             f"unknown baseline {kind!r}; expected one of {', '.join(baselines.BASELINE_KINDS)}"
         )
     data_dir = cfg.data_dir or out
-    traces, queries, splits = _load_corpus(data_dir)
-    traces_by_id = {t.id: t for t in traces}
+    traces_by_id, queries, splits = _load_corpus(data_dir)
     test_queries = _split_queries(queries, splits["test"])
     train_traces = [traces_by_id[i] for i in splits["train"]]
     result = baselines.run_baseline(kind, test_queries, cfg.seed, train_traces)
@@ -325,8 +305,7 @@ def cmd_report(out: str) -> int:
 def cmd_sweep(cfg: RunConfig, out: str) -> int:
     """One-axis-at-a-time grid; each cell is a full run plus test eval."""
     data_dir = cfg.data_dir or out
-    traces, queries, splits = _load_corpus(data_dir)
-    traces_by_id = {t.id: t for t in traces}
+    traces_by_id, queries, splits = _load_corpus(data_dir)
     test_traces = [traces_by_id[i] for i in splits["test"]]
     test_queries = _split_queries(queries, splits["test"])
 

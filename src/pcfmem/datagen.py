@@ -413,6 +413,18 @@ def _gen_trend_query(
     )
 
 
+def design_answer(geom: Geometry, dispersion: float, loss: float, lambda_um: float) -> str:
+    """The parameter_adjustment answer: a geometry and the dispersion and loss
+    it gives. Reference and predicted answers both use it, so token F1
+    compares like with like."""
+    return (
+        f"parameters pitch {geom.pitch_um:.5g} um hole_d {geom.hole_d_um:.5g} um "
+        f"n_rings {geom.n_rings} yield dispersion {dispersion:.5g} "
+        f"ps per nm km and loss {loss:.4g} db per km at wavelength "
+        f"{lambda_um:.3g} um"
+    )
+
+
 def _gen_param_query(trace: Trace, qid: str) -> Query:
     t = trace.target
     goal = trace.goal_geometry
@@ -421,19 +433,13 @@ def _gen_param_query(trace: Trace, qid: str) -> Query:
         f"{t.dispersion_ps_nm_km:.5g} ps per nm km and loss {t.loss_db_km:.4g} "
         f"db per km at wavelength {t.lambda_um:.3g} um"
     )
-    answer = (
-        f"parameters pitch {goal.pitch_um:.5g} um hole_d {goal.hole_d_um:.5g} um "
-        f"n_rings {goal.n_rings} yield dispersion {t.dispersion_ps_nm_km:.5g} "
-        f"ps per nm km and loss {t.loss_db_km:.4g} db per km at wavelength "
-        f"{t.lambda_um:.3g} um"
-    )
     return Query(
         id=qid,
         trace_ids=[trace.id],
         qtype="parameter_adjustment",
         text=text,
         ground_truth={"reference_geometry": goal.as_dict(), "target": t.as_dict()},
-        answer_text=answer,
+        answer_text=design_answer(goal, t.dispersion_ps_nm_km, t.loss_db_km, t.lambda_um),
         difficulty=_difficulty_tag(len(trace.spans)),
     )
 

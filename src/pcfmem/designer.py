@@ -27,7 +27,6 @@ FAILURE_ORDER = (
 
 BUFFER_CAPACITY = 256
 TOP_CLUSTERS = 2
-BIAS_B0 = 1.0
 THETA_SIG_CAP = 2.0
 
 
@@ -324,7 +323,7 @@ def propose_changes(
 
 def new_action_bias(bank: skills.SkillBank, epoch: int, inner_epoch: int) -> np.ndarray:
     bias = np.zeros(len(bank.skills))
-    scale = BIAS_B0 * (2.0 ** (-inner_epoch))
+    scale = 2.0 ** -inner_epoch
     for i, s in enumerate(bank.skills):
         if s.introduced_epoch == epoch:
             bias[i] = scale

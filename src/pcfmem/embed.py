@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 
 import numpy as np
 
@@ -28,18 +29,12 @@ def fnv1a64(data: str) -> int:
     return h
 
 
+# runs of str.isalnum characters: \w is isalnum plus "_"
+_TOKEN = re.compile(r"[^\W_]+")
+
+
 def tokenize(text: str) -> list[str]:
-    tokens = []
-    current = []
-    for ch in text.lower():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 # a pure function of the token; a corpus has tens of thousands of distinct
@@ -65,6 +60,20 @@ def embed_text(text: str) -> np.ndarray:
     if norm > 0.0:
         vec /= norm
     return vec
+
+
+class TextVectors(dict):
+    """Text -> its ``embed_text`` vector, embedded on first lookup, read-only.
+
+    Keyed on the text itself, so a rewritten statement or description is a
+    new key and a stored vector never goes stale.
+    """
+
+    def __missing__(self, text: str) -> np.ndarray:
+        vec = embed_text(text)
+        vec.flags.writeable = False
+        self[text] = vec
+        return vec
 
 
 def embed_numeric(geom, res) -> np.ndarray:

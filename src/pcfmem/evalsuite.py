@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import designer, embed, memory, physics, rollout
+from . import datagen, designer, embed, memory, physics, rollout
 from .datagen import Query, Trace
 from .physics import CallCounter, Geometry, SimResult, TargetSpec
 
@@ -206,11 +206,8 @@ def _answer_param(
 
     res = physics.simulate(geom, target.lambda_um, counter)
     ok, qual = success_quality(res, target)
-    text = (
-        f"parameters pitch {geom.pitch_um:.5g} um hole_d {geom.hole_d_um:.5g} um "
-        f"n_rings {geom.n_rings} yield dispersion {res.dispersion_ps_nm_km:.5g} "
-        f"ps per nm km and loss {res.loss_db_km:.4g} db per km at wavelength "
-        f"{target.lambda_um:.3g} um"
+    text = datagen.design_answer(
+        geom, res.dispersion_ps_nm_km, res.loss_db_km, target.lambda_um
     )
     row = {
         "f1": token_f1(text, query.answer_text),

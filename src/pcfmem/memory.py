@@ -152,7 +152,7 @@ class MemoryBank:
     def __init__(self) -> None:
         self.entries: list[MemoryEntry] = []
         self.next_id: int = 1
-        self._emb_cache: dict[int, np.ndarray] = {}
+        self.texts = embed.TextVectors()
 
     def active(self) -> list[MemoryEntry]:
         return [e for e in self.entries if not e.archived]
@@ -170,14 +170,7 @@ class MemoryBank:
         return None
 
     def embedding_of(self, entry: MemoryEntry) -> np.ndarray:
-        vec = self._emb_cache.get(entry.id)
-        if vec is None:
-            vec = embed.embed_text(entry.statement)
-            self._emb_cache[entry.id] = vec
-        return vec
-
-    def _invalidate(self, entry_id: int) -> None:
-        self._emb_cache.pop(entry_id, None)
+        return self.texts[entry.statement]
 
 
 def retrieve(bank: MemoryBank, query: np.ndarray, k: int = 5) -> list[MemoryEntry]:
@@ -233,7 +226,6 @@ def _apply_one(bank: MemoryBank, edit: MemoryEdit, index: int) -> EditOutcome:
             return EditOutcome(index, "rejected", detail="update target missing")
         if edit.statement:
             target.statement = edit.statement
-            bank._invalidate(target.id)
         if edit.direction != 0:
             target.direction = edit.direction
         if edit.slope is not None:

@@ -20,19 +20,15 @@ from .skills import SkillBank
 
 
 class FeatureCache:
-    """Per-corpus span feature cache (text embedding + numeric block)."""
+    """Per-run feature cache: text vectors of spans and skill descriptions,
+    and the numeric block of each span."""
 
     def __init__(self) -> None:
-        self._text: dict = {}
+        self.texts = embed.TextVectors()
         self._numeric: dict = {}
 
     def span_text(self, trace: Trace, idx: int) -> np.ndarray:
-        key = (trace.id, idx)
-        vec = self._text.get(key)
-        if vec is None:
-            vec = embed.embed_text(trace.spans[idx].text)
-            self._text[key] = vec
-        return vec
+        return self.texts[trace.spans[idx].text]
 
     def span_numeric(self, trace: Trace, idx: int) -> np.ndarray:
         key = (trace.id, idx)
@@ -44,21 +40,9 @@ class FeatureCache:
         return vec
 
 
-_U_CACHE: dict = {}
-
-
-def skill_matrix(bank: SkillBank) -> np.ndarray:
-    """Embedding matrix of active skill descriptions, cached per description list.
-
-    Keyed on the descriptions themselves: two banks of one version can hold
-    one skill id with different descriptions.
-    """
-    key = tuple(s.description for s in bank.skills)
-    u = _U_CACHE.get(key)
-    if u is None:
-        u = np.stack([embed.embed_text(s.description) for s in bank.skills])
-        _U_CACHE[key] = u
-    return u
+def skill_matrix(bank: SkillBank, texts: embed.TextVectors) -> np.ndarray:
+    """Embedding matrix of the bank's skill descriptions, one row per skill."""
+    return np.stack([texts[s.description] for s in bank.skills])
 
 
 @dataclass
@@ -90,7 +74,7 @@ def run_episode(
     bias: Optional[np.ndarray] = None,
 ) -> EpisodeRollout:
     """mode: 'sample' | 'greedy' | 'random' (uniform, controller-free)."""
-    u_mat = skill_matrix(bank)
+    u_mat = skill_matrix(bank, cache.texts)
     n_skills = len(bank.skills)
     if bias is None:
         bias = np.zeros(n_skills)

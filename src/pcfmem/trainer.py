@@ -289,7 +289,7 @@ def run_inner_loop(
             )
             stats = ppo_update(
                 params, transitions, advantages, returns, cfg, opt, upd_rng,
-                rollout.skill_matrix(bank), bias,
+                rollout.skill_matrix(bank, cache.texts), bias,
             )
             entry["ppo"] = {
                 k: stats[k]

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, file outputs and determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -157,6 +158,14 @@ def test_run_config_round_trip(tmp_path):
     ppo = loaded.ppo()
     assert ppo.inner_epochs == 2
     assert ppo.beta == 1.0
+    assert cli.RunConfig().ppo() == trainer.PPOConfig()
+    assert {f.name for f in dataclasses.fields(cli.RunConfig)} == {
+        "seed", "n_traces", "workers", "ablation", "data_dir",
+        "gamma_d", "gae_lambda", "clip", "entropy_coef", "value_coef",
+        "epochs_per_update", "minibatch", "grad_clip", "learning_rate",
+        "weight_decay", "gamma_r", "beta", "inner_epochs", "outer_epochs",
+        "batch", "k_retrieve", "top_k", "designer_cadence", "max_skills", "bias_b0",
+    }
 
 
 def test_evolve_exits_three_on_non_finite_training(tmp_path, capsys, monkeypatch):
@@ -177,3 +186,23 @@ def test_evolve_exits_three_on_non_finite_training(tmp_path, capsys, monkeypatch
     assert code == cli.EXIT_NUMERIC == 3
     assert "numeric failure" in err
     assert not (tmp_path / "results.json").exists()
+
+
+def test_sweep_writes_one_cell_per_axis_value(tmp_path, capsys):
+    code, _, _ = _run(
+        ["gen-data", "--n-traces", "80", "--seed", "5", "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch": 2}))
+    code, _, _ = _run(
+        ["sweep", "--config", str(cfg), "--outer", "1", "--inner", "1",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    cells = json.loads((tmp_path / "sweep.json").read_text())["cells"]
+    assert [(c["axis"], c["value"]) for c in cells] == [
+        (axis, value) for axis, values in cli.SWEEP_AXES.items() for value in values
+    ]
+    assert len(cells) == 18

@@ -1,5 +1,7 @@
 """Hash-embedding checks: tokenizer, FNV vectors, vector-space properties."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,62 @@ def test_tokenize_lowercases_and_splits_on_nonalnum():
     assert embed.tokenize("") == []
     assert embed.tokenize("   --- ") == []
     assert embed.tokenize("n_eff") == ["n", "eff"]
+
+
+def _tokenize_reference(text: str) -> list[str]:
+    """The character loop: maximal runs of str.isalnum characters."""
+    tokens = []
+    current = []
+    for ch in text.lower():
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
+def test_tokenize_matches_isalnum_runs_on_every_code_point():
+    block = 0x1000
+    for start in range(0, 0x110000, block):
+        text = " ".join("a" + chr(c) + "b" for c in range(start, start + block))
+        assert embed.tokenize(text) == _tokenize_reference(text), hex(start)
+
+
+def test_tokenize_matches_isalnum_runs_on_mixed_script_text():
+    pool = (
+        "abcXYZ019_ -.,:;!?'\t\n"
+        "\u00e9\u00df\u0130\u03a3\u03c3\u03c2\u0416\u0436"  # Latin-1, Greek sigma, Cyrillic
+        "\u05d0\u0627\u0660\u0669\u0915\u093f\u0966"  # Hebrew, Arabic digits, Devanagari
+        "\u4e2d\u6587\u3042\u30a2\uac00\u0e01\u0e31"  # CJK, kana, Hangul, Thai
+        "\u00b2\u00bd\u2167\u2460\uff21\uff10\u200b\u00a0"  # digits, numerals, fullwidth
+        "\u0301\u1e9e\ufb01\U0001d400\U0001f600\U00010400"  # marks, ligature, astral
+    )
+    rng = random.Random(11)
+    for _ in range(2000):
+        text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
+        assert embed.tokenize(text) == _tokenize_reference(text), repr(text)
+
+
+def test_text_vectors_embed_each_distinct_text_once(monkeypatch):
+    real = embed.embed_text
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(embed, "embed_text", counting)
+    texts = embed.TextVectors()
+    keys = ["raise the pitch", "cut loss", "raise the pitch", "", "cut loss"]
+    vecs = [texts[k] for k in keys]
+    assert calls == ["raise the pitch", "cut loss", ""]
+    for key, vec in zip(keys, vecs):
+        assert np.array_equal(vec, real(key))
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
 
 
 def test_embed_text_unit_norm_and_deterministic():

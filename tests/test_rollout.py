@@ -92,15 +92,16 @@ def test_bias_steers_first_pick(one_trace):
         assert all(t.action[0] == want for t in ep.transitions)
 
 
-def test_skill_matrix_cache_tracks_bank_version():
+def test_skill_matrix_rows_track_the_bank():
     bank = skills.initial_bank()
-    u1 = rollout.skill_matrix(bank)
-    u2 = rollout.skill_matrix(bank)
-    assert u1 is u2  # same version hits the cache
+    texts = embed.TextVectors()
+    u = rollout.skill_matrix(bank, texts)
+    expect = np.stack([embed.embed_text(s.description) for s in bank.skills])
+    assert np.array_equal(u, expect)
     mutated = skills.mutate(
         bank, [skills.BankChange(op="retire", target_id=bank.skills[1].id)]
     )
-    u3 = rollout.skill_matrix(mutated)
+    u3 = rollout.skill_matrix(mutated, texts)
     assert u3.shape == (len(bank.skills) - 1, embed.TEXT_DIM)
 
 
@@ -117,7 +118,8 @@ def test_skill_matrix_tells_apart_banks_that_share_ids():
     ]
     assert banks[0].ids() == banks[1].ids()
     assert banks[0].bank_version == banks[1].bank_version
-    u0, u1 = rollout.skill_matrix(banks[0]), rollout.skill_matrix(banks[1])
+    texts = embed.TextVectors()
+    u0, u1 = rollout.skill_matrix(banks[0], texts), rollout.skill_matrix(banks[1], texts)
     assert not np.array_equal(u0, u1)
     for bank, u in zip(banks, (u0, u1)):
         expect = np.stack([embed.embed_text(s.description) for s in bank.skills])
