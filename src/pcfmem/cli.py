@@ -52,7 +52,6 @@ class RunConfig(trainer.PPOConfig):
 
     seed: int = 0
     n_traces: int = 500
-    workers: int = 1
     ablation: str = "full"
     data_dir: str = ""
 
@@ -69,6 +68,9 @@ def load_config(path: str | None) -> RunConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise CorpusFormatError("config must be a JSON object")
+    # retired key that existing configs still carry: eval runs in one process
+    if raw.pop("workers", 1) != 1:
+        raise CorpusFormatError("config key 'workers' must be 1: eval runs in one process")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -79,8 +81,6 @@ def load_config(path: str | None) -> RunConfig:
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     if getattr(args, "ablate", None) is not None:
         cfg.ablation = _canonical_ablation(args.ablate)
     if getattr(args, "outer", None) is not None:
@@ -228,7 +228,6 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
         master_seed=cfg.seed,
         k_retrieve=cfg.k_retrieve,
         top_k=cfg.top_k,
-        workers=cfg.workers,
     )
     report = evalsuite.aggregate(result["rows"])
     label = ABLATION_LABELS[cfg.ablation]
@@ -327,7 +326,6 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
                 master_seed=run_cfg.seed,
                 k_retrieve=run_cfg.k_retrieve,
                 top_k=run_cfg.top_k,
-                workers=run_cfg.workers,
             )
             agg = evalsuite.aggregate(result["rows"])
             cells.append(
@@ -365,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="runs", help="output directory")
-        p.add_argument("--workers", type=int, default=None)
 
     p = sub.add_parser("gen-data", help="generate traces, queries and splits")
     common(p)

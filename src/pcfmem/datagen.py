@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -600,7 +600,12 @@ def _write_jsonl(path: str, fmt: str, records: list[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path: str, fmt: str) -> list[dict]:
+def _read_jsonl(path: str, fmt: str, build: Callable[[dict], object]) -> list:
+    """Check the format header, then ``build`` one record per line.
+
+    A record ``build`` cannot read (missing field, wrong type or value)
+    raises CorpusFormatError naming the file and line.
+    """
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -612,13 +617,19 @@ def _read_jsonl(path: str, fmt: str) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: bad JSON: {exc.msg}") from exc
             if lineno == 1:
-                if doc.get("format") != fmt or doc.get("version") != FORMAT_VERSION:
+                header = doc if isinstance(doc, dict) else {}
+                if header.get("format") != fmt or header.get("version") != FORMAT_VERSION:
                     raise CorpusFormatError(
                         f"{path}:1: expected {fmt} v{FORMAT_VERSION}, "
-                        f"got {doc.get('format')!r} v{doc.get('version')!r}"
+                        f"got {header.get('format')!r} v{header.get('version')!r}"
                     )
                 continue
-            records.append(doc)
+            try:
+                records.append(build(doc))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: bad record: {type(exc).__name__}: {exc}"
+                ) from exc
     return records
 
 
@@ -627,7 +638,7 @@ def save_traces(path: str, traces: list[Trace]) -> None:
 
 
 def load_traces(path: str) -> list[Trace]:
-    return [trace_from_dict(d) for d in _read_jsonl(path, TRACE_FORMAT)]
+    return _read_jsonl(path, TRACE_FORMAT, trace_from_dict)
 
 
 def save_queries(path: str, queries: list[Query]) -> None:
@@ -635,4 +646,4 @@ def save_queries(path: str, queries: list[Query]) -> None:
 
 
 def load_queries(path: str) -> list[Query]:
-    return [query_from_dict(d) for d in _read_jsonl(path, QUERY_FORMAT)]
+    return _read_jsonl(path, QUERY_FORMAT, query_from_dict)

@@ -42,18 +42,6 @@ class FailureCase:
     regime: str
     difficulty: float  # normalized miss, >= 1 for any verify failure
 
-    def as_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "query_id": self.query_id,
-            "proposed": dict(self.proposed),
-            "retrieved_ids": [e.get("id") for e in self.retrieved],
-            "sim": dict(self.sim),
-            "failure_type": self.failure_type,
-            "regime": self.regime,
-            "difficulty": self.difficulty,
-        }
-
 
 @dataclass
 class FailureBuffer:
@@ -65,9 +53,6 @@ class FailureBuffer:
         if len(self.cases) > self.capacity:
             weakest = min(range(len(self.cases)), key=lambda i: self.cases[i].difficulty)
             self.cases.pop(weakest)
-
-    def as_dict(self) -> dict:
-        return {"capacity": self.capacity, "cases": [c.as_dict() for c in self.cases]}
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -148,15 +133,13 @@ def classify_planted(entry: dict, bank: memory.MemoryBank) -> str:
     return "spurious_memory"
 
 
-def collect_failures(
-    query_records: list[dict], counter: CallCounter, capacity: int = BUFFER_CAPACITY
-) -> FailureBuffer:
+def collect_failures(query_records: list[dict], counter: CallCounter) -> FailureBuffer:
     """Harvest failed design verifications from rollout query records.
 
     Each record needs: trace_id, query_id, qtype, passed, proposal, sim,
     target, retrieved (list of entry dicts, citation order).
     """
-    buf = FailureBuffer(capacity=capacity)
+    buf = FailureBuffer()
     for rec in query_records:
         if rec.get("qtype") != "parameter_adjustment" or rec.get("passed"):
             continue
@@ -202,10 +185,6 @@ class FailureCluster:
     @property
     def total_difficulty(self) -> float:
         return sum(c.difficulty for c in self.cases)
-
-    def representatives(self, m: int = 2) -> list[FailureCase]:
-        ranked = sorted(self.cases, key=lambda c: (-c.difficulty, c.query_id))
-        return ranked[:m]
 
 
 def cluster_failures(buf: FailureBuffer) -> list[FailureCluster]:

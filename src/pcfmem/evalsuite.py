@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -100,13 +99,6 @@ def success_quality(res: SimResult, spec: TargetSpec) -> tuple[bool, float]:
     return ok, float(min(1.0, max(0.0, q)))
 
 
-@dataclass
-class Response:
-    text: str
-    geometry: Optional[Geometry] = None
-    cited: list[int] = field(default_factory=list)
-
-
 def _clamp_geometry(pitch: float, hole_d: float, rings: float) -> Geometry:
     pitch = float(min(physics.PITCH_MAX_UM, max(physics.PITCH_MIN_UM, pitch)))
     # keep d/pitch strictly inside the overlap bound despite roundoff
@@ -116,12 +108,11 @@ def _clamp_geometry(pitch: float, hole_d: float, rings: float) -> Geometry:
     return Geometry(pitch, hole_d, n)
 
 
-def _answer_trend(bank: memory.MemoryBank, query: Query) -> tuple[Response, dict]:
+def _answer_trend(bank: memory.MemoryBank, query: Query) -> dict:
     gt = query.ground_truth
     qvec = embed.embed_text(query.text)
     retrieved = memory.retrieve(bank, qvec, ANSWER_K)
     votes = 0
-    cited = []
     for e in retrieved:
         if e.kind not in ("trend", "param_map"):
             continue
@@ -130,7 +121,6 @@ def _answer_trend(bank: memory.MemoryBank, query: Query) -> tuple[Response, dict
         if e.direction == 0:
             continue
         votes += e.direction
-        cited.append(e.id)
     sign = int(np.sign(votes))
     if sign == 0:
         text = f"unknown how {gt['metric']} responds to {gt['param']}"
@@ -138,7 +128,8 @@ def _answer_trend(bank: memory.MemoryBank, query: Query) -> tuple[Response, dict
         word = "increase" if sign > 0 else "decrease"
         text = f"{gt['metric']} will {word} when {gt['param']} increases"
     passed = sign == int(gt["direction"])
-    row = {
+    return {
+        "answer_text": text,
         "f1": token_f1(text, query.answer_text),
         "design": None,
         "param": None,
@@ -148,7 +139,6 @@ def _answer_trend(bank: memory.MemoryBank, query: Query) -> tuple[Response, dict
         "phys": 1.0 if passed else 0.0,
         "passed": passed,
     }
-    return Response(text=text, cited=cited), row
 
 
 def _slope_entries(entries: list[memory.MemoryEntry], metric: str):
@@ -161,14 +151,11 @@ def _slope_entries(entries: list[memory.MemoryEntry], metric: str):
     return out
 
 
-def _answer_param(
-    bank: memory.MemoryBank, query: Query, counter: CallCounter
-) -> tuple[Response, dict]:
+def _answer_param(bank: memory.MemoryBank, query: Query, counter: CallCounter) -> dict:
     gt = query.ground_truth
     target = physics.target_from_dict(gt["target"])
     qvec = embed.embed_text(query.text)
     retrieved = memory.retrieve(bank, qvec, ANSWER_K)
-    cited: list[int] = []
 
     best = None
     for e in retrieved:
@@ -176,9 +163,7 @@ def _answer_param(
             continue
         if best is None or e.observed["miss"] < best.observed["miss"]:
             best = e
-    geom: Optional[Geometry] = None
     if best is not None:
-        cited.append(best.id)
         g = best.geom
         pitch, hole_d, rings = g["pitch_um"], g["hole_d_um"], float(g["n_rings"])
         if best.observed["miss"] >= 1.0:
@@ -190,7 +175,6 @@ def _answer_param(
                 step = (target.dispersion_ps_nm_km - best.observed["dispersion"]) / e.slope
                 vals[e.key.param] += step
                 used_param = e.key.param
-                cited.append(e.id)
             a_slopes = [
                 e for e in _slope_entries(retrieved, "loss") if e.key.param != used_param
             ]
@@ -198,7 +182,6 @@ def _answer_param(
                 e = a_slopes[0]
                 step = (target.loss_db_km - best.observed["loss"]) / e.slope
                 vals[e.key.param] += step
-                cited.append(e.id)
             pitch, hole_d, rings = vals["pitch"], vals["hole_d"], vals["n_rings"]
         geom = _clamp_geometry(pitch, hole_d, rings)
     else:
@@ -209,7 +192,8 @@ def _answer_param(
     text = datagen.design_answer(
         geom, res.dispersion_ps_nm_km, res.loss_db_km, target.lambda_um
     )
-    row = {
+    return {
+        "answer_text": text,
         "f1": token_f1(text, query.answer_text),
         "design": None,
         "param": param_accuracy(geom.as_dict(), gt["reference_geometry"]),
@@ -223,10 +207,9 @@ def _answer_param(
         "target": gt["target"],
         "retrieved": [e.as_dict() for e in retrieved],
     }
-    return Response(text=text, geometry=geom, cited=cited), row
 
 
-def _answer_reasoning(bank: memory.MemoryBank, query: Query) -> tuple[Response, dict]:
+def _answer_reasoning(bank: memory.MemoryBank, query: Query) -> dict:
     qvec = embed.embed_text(query.text)
     retrieved = memory.retrieve(bank, qvec, ANSWER_K)
     parts = [e.statement for e in retrieved]
@@ -239,7 +222,8 @@ def _answer_reasoning(bank: memory.MemoryBank, query: Query) -> tuple[Response, 
     text = "; ".join(parts + [context])
     design = concept_coverage(text)
     passed = design >= 0.5
-    row = {
+    return {
+        "answer_text": text,
         "f1": token_f1(text, query.answer_text),
         "design": design,
         "param": None,
@@ -249,15 +233,15 @@ def _answer_reasoning(bank: memory.MemoryBank, query: Query) -> tuple[Response, 
         "phys": None,
         "passed": passed,
     }
-    return Response(text=text, cited=[e.id for e in retrieved]), row
 
 
-def _answer_failure(bank: memory.MemoryBank, query: Query) -> tuple[Response, dict]:
+def _answer_failure(bank: memory.MemoryBank, query: Query) -> dict:
     gt = query.ground_truth
     pred = designer.classify_planted(gt["planted_entry"], bank)
     text = f"the note is a {pred.replace('_', ' ')}"
     passed = pred == gt["failure_type"]
-    row = {
+    return {
+        "answer_text": text,
         "f1": token_f1(text, query.answer_text),
         "design": None,
         "param": None,
@@ -267,31 +251,27 @@ def _answer_failure(bank: memory.MemoryBank, query: Query) -> tuple[Response, di
         "phys": 1.0 if passed else 0.0,
         "passed": passed,
     }
-    return Response(text=text), row
 
 
-def answer_query(
-    bank: memory.MemoryBank, query: Query, counter: CallCounter
-) -> tuple[Response, dict]:
+def answer_query(bank: memory.MemoryBank, query: Query, counter: CallCounter) -> dict:
     """Answer one query from a trace's memory bank.
 
     Only parameter_adjustment charges the env (exactly one verification).
     """
     if query.qtype == "trend_prediction":
-        resp, row = _answer_trend(bank, query)
+        row = _answer_trend(bank, query)
     elif query.qtype == "parameter_adjustment":
-        resp, row = _answer_param(bank, query, counter)
+        row = _answer_param(bank, query, counter)
     elif query.qtype == "design_reasoning":
-        resp, row = _answer_reasoning(bank, query)
+        row = _answer_reasoning(bank, query)
     elif query.qtype == "failure_analysis":
-        resp, row = _answer_failure(bank, query)
+        row = _answer_failure(bank, query)
     else:
         raise ValueError(f"unknown query type: {query.qtype}")
     row["query_id"] = query.id
     row["trace_id"] = query.trace_ids[0]
     row["qtype"] = query.qtype
-    row["answer_text"] = resp.text
-    return resp, row
+    return row
 
 
 def episode_queries(
@@ -302,7 +282,7 @@ def episode_queries(
     passed = 0
     for q in sorted(queries, key=lambda q: q.id):
         counter.begin_query()
-        _, row = answer_query(mem_bank, q, counter)
+        row = answer_query(mem_bank, q, counter)
         row["calls"] = counter.per_query_calls
         rows.append(row)
         if row["passed"]:
@@ -345,16 +325,23 @@ def _eval_seed_key(trace_id: str) -> tuple[int, int]:
     return (4, embed.fnv1a64(trace_id))
 
 
-def _eval_traces(
+def evaluate_agent(
     traces: list[Trace],
-    queries_by_trace: dict[str, list[Query]],
+    queries: list[Query],
     skill_bank,
     params: Optional[dict],
-    mode: str,
-    master_seed: int,
-    k_retrieve: int,
-    top_k: int,
-) -> tuple[list[dict], CallCounter]:
+    mode: str = "greedy",
+    master_seed: int = 0,
+    k_retrieve: int = 5,
+    top_k: int = 2,
+) -> dict:
+    """Greedy (or ablation-mode) rollout per trace, then answer its queries.
+
+    Returns {"rows": per-query rows sorted by query id, "total_calls": int}.
+    """
+    queries_by_trace: dict[str, list[Query]] = {}
+    for q in queries:
+        queries_by_trace.setdefault(q.trace_ids[0], []).append(q)
     cache = rollout.FeatureCache()
     counter = CallCounter()
     rows: list[dict] = []
@@ -365,68 +352,8 @@ def _eval_traces(
             k_retrieve, top_k,
         )
         rows.extend(trace_rows)
-    return rows, counter
-
-
-def _eval_chunk(args) -> tuple[list[dict], int]:
-    rows, counter = _eval_traces(*args)
-    return rows, counter.total_calls
-
-
-def evaluate_agent(
-    traces: list[Trace],
-    queries: list[Query],
-    skill_bank,
-    params: Optional[dict],
-    mode: str = "greedy",
-    master_seed: int = 0,
-    k_retrieve: int = 5,
-    top_k: int = 2,
-    workers: int = 1,
-) -> dict:
-    """Greedy (or ablation-mode) rollout per trace, then answer its queries.
-
-    Returns {"rows": per-query rows, "total_calls": int}. Rows are sorted by
-    query id so worker scheduling cannot change the output.
-    """
-    queries_by_trace: dict[str, list[Query]] = {}
-    for q in queries:
-        queries_by_trace.setdefault(q.trace_ids[0], []).append(q)
-    for qs in queries_by_trace.values():
-        qs.sort(key=lambda q: q.id)
-
-    if workers <= 1 or len(traces) < 2 * workers:
-        rows, counter = _eval_traces(
-            traces, queries_by_trace, skill_bank, params, mode,
-            master_seed, k_retrieve, top_k,
-        )
-        total = counter.total_calls
-    else:
-        import concurrent.futures
-
-        chunks = [traces[i::workers] for i in range(workers)]
-        args = [
-            (
-                chunk,
-                {t.id: queries_by_trace.get(t.id, []) for t in chunk},
-                skill_bank,
-                params,
-                mode,
-                master_seed,
-                k_retrieve,
-                top_k,
-            )
-            for chunk in chunks
-            if chunk
-        ]
-        rows = []
-        total = 0
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_rows, chunk_calls in pool.map(_eval_chunk, args):
-                rows.extend(chunk_rows)
-                total += chunk_calls
     rows.sort(key=lambda r: r["query_id"])
-    return {"rows": rows, "total_calls": total}
+    return {"rows": rows, "total_calls": counter.total_calls}
 
 
 def aggregate(rows: list[dict]) -> dict:

@@ -11,7 +11,7 @@ CallCounter; invalid inputs raise before any charge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 LAMBDA_MIN_UM = 1.2
 LAMBDA_MAX_UM = 1.7
@@ -185,15 +185,10 @@ def geometry_from_dict(d: dict) -> Geometry:
 
 @dataclass
 class CallCounter:
-    """Simulation-call ledger; one tick per successful property evaluation.
-
-    Workers keep private counters and merge them afterwards, so increments
-    never race.
-    """
+    """Simulation-call ledger; one tick per successful property evaluation."""
 
     total_calls: int = 0
     per_query_calls: int = 0
-    phase: str = field(default="", compare=False)
 
     def begin_query(self) -> None:
         self.per_query_calls = 0
@@ -201,10 +196,6 @@ class CallCounter:
     def tick(self) -> None:
         self.total_calls += 1
         self.per_query_calls += 1
-
-    def merge(self, other: "CallCounter") -> None:
-        self.total_calls += other.total_calls
-        self.per_query_calls += other.per_query_calls
 
 
 def validate_geometry(geom: Geometry) -> None:

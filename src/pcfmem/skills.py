@@ -91,9 +91,6 @@ class SkillBank:
     def ids(self) -> list[str]:
         return [s.id for s in self.skills]
 
-    def noop_count(self) -> int:
-        return sum(1 for s in self.skills if s.action_type == "NOOP")
-
     def as_dict(self) -> dict:
         return {
             "bank_version": self.bank_version,
@@ -106,13 +103,22 @@ class SkillBank:
 
 
 def bank_from_dict(d: dict) -> SkillBank:
-    bank = SkillBank(
-        skills=[skill_from_dict(s) for s in d["skills"]],
-        bank_version=int(d["bank_version"]),
-        retired=list(d.get("retired", [])),
-    )
+    try:
+        bank = SkillBank(
+            skills=[skill_from_dict(s) for s in d["skills"]],
+            bank_version=int(d["bank_version"]),
+            retired=list(d.get("retired", [])),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SkillConfigError(f"malformed skill bank: {type(exc).__name__}: {exc}") from exc
+    seen: set[str] = set()
     for s in bank.skills:
         validate_skill(s)
+        if s.id in seen:
+            raise SkillConfigError(f"duplicate skill id {s.id}")
+        seen.add(s.id)
+    if not any(s.action_type == "NOOP" for s in bank.skills):
+        raise SkillConfigError("skill bank has no NOOP skill")
     return bank
 
 

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from pcfmem import cli, trainer
+from pcfmem import cli, datagen, skills, trainer
 from pcfmem.datagen import CorpusFormatError
 
 
@@ -25,6 +25,9 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = _run(["frobnicate"], capsys)
     assert code == 1
     assert "invalid choice" in err
+    code, _, err = _run(["gen-data", "--workers", "2"], capsys)
+    assert code == 1
+    assert "unrecognized arguments" in err
 
 
 def test_bad_baseline_kind_is_a_data_error(tmp_path, capsys):
@@ -49,6 +52,44 @@ def test_config_validation(tmp_path, capsys):
     )
     assert code == 2
     assert "JSON object" in err
+    # the retired key is accepted only with the one value eval supports
+    cfg.write_text(json.dumps({"workers": 2}))
+    code, _, err = _run(
+        ["gen-data", "--config", str(cfg), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert "one process" in err
+
+
+def _bank_doc(edit):
+    doc = skills.initial_bank().as_dict()
+    edit(doc)
+    return doc
+
+
+MALFORMED_BANKS = {
+    "empty_object": {},
+    "array": [],
+    "skill_without_name": _bank_doc(lambda d: d["skills"][0].pop("name")),
+    "duplicate_id": _bank_doc(lambda d: d["skills"].append(dict(d["skills"][0]))),
+    "no_noop": _bank_doc(
+        lambda d: d.update(skills=[s for s in d["skills"] if s["action_type"] != "NOOP"])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_BANKS))
+def test_malformed_bank_is_a_data_error(name, tmp_path, capsys, small_corpus):
+    paths = cli._data_paths(str(tmp_path))
+    datagen.save_traces(paths["traces"], small_corpus["traces"])
+    datagen.save_queries(paths["queries"], small_corpus["queries"])
+    (tmp_path / "splits.json").write_text(json.dumps(small_corpus["splits"]))
+    (tmp_path / "bank.json").write_text(json.dumps(MALFORMED_BANKS[name]))
+    code, _, err = _run(
+        ["eval", "--ablate", "wo_controller", "--out", str(tmp_path)], capsys
+    )
+    assert code == cli.EXIT_DATA
+    assert "data error" in err
 
 
 def test_eval_missing_corpus(tmp_path, capsys):
@@ -159,8 +200,10 @@ def test_run_config_round_trip(tmp_path):
     assert ppo.inner_epochs == 2
     assert ppo.beta == 1.0
     assert cli.RunConfig().ppo() == trainer.PPOConfig()
+    cfg.write_text(json.dumps({"workers": 1}))
+    assert cli.load_config(str(cfg)) == cli.RunConfig()
     assert {f.name for f in dataclasses.fields(cli.RunConfig)} == {
-        "seed", "n_traces", "workers", "ablation", "data_dir",
+        "seed", "n_traces", "ablation", "data_dir",
         "gamma_d", "gae_lambda", "clip", "entropy_coef", "value_coef",
         "epochs_per_update", "minibatch", "grad_clip", "learning_rate",
         "weight_decay", "gamma_r", "beta", "inner_epochs", "outer_epochs",

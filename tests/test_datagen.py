@@ -180,6 +180,10 @@ def test_jsonl_rejects_corruption(tmp_path, small_corpus):
         fh.writelines(lines[1:])
     with pytest.raises(datagen.CorpusFormatError):
         datagen.load_traces(wrong_header)
+    with open(wrong_header, "w") as fh:
+        fh.write("[1]\n")
+    with pytest.raises(datagen.CorpusFormatError, match=":1: expected"):
+        datagen.load_traces(wrong_header)
 
     truncated = str(tmp_path / "truncated.jsonl")
     with open(truncated, "w") as fh:
@@ -196,6 +200,23 @@ def test_jsonl_rejects_corruption(tmp_path, small_corpus):
         fh.write(json.dumps(q) + "\n")
     with pytest.raises(datagen.CorpusFormatError):
         datagen.load_queries(bad_query)
+
+    # a record missing a field names its file and line
+    no_spans = str(tmp_path / "no_spans.jsonl")
+    t = json.loads(lines[1])
+    del t["spans"]
+    with open(no_spans, "w") as fh:
+        fh.writelines([lines[0], json.dumps(t) + "\n"])
+    with pytest.raises(datagen.CorpusFormatError, match=r"no_spans\.jsonl:2: .*KeyError"):
+        datagen.load_traces(no_spans)
+    no_text = str(tmp_path / "no_text.jsonl")
+    del q["text"]
+    q["type"] = "trend_prediction"
+    with open(no_text, "w") as fh:
+        fh.write(json.dumps({"format": datagen.QUERY_FORMAT, "version": 1}) + "\n")
+        fh.write(json.dumps(q) + "\n")
+    with pytest.raises(datagen.CorpusFormatError, match=r"no_text\.jsonl:2: .*KeyError"):
+        datagen.load_queries(no_text)
 
 
 def test_family_priors_are_boxes_in_band():

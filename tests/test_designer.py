@@ -181,9 +181,6 @@ def test_cluster_ordering():
         ("wrong_trend", 3),
         ("spurious_memory", 1),
     ]
-    reps = clusters[0].representatives(2)
-    assert len(reps) == 2
-    assert reps[0].difficulty >= reps[1].difficulty
 
 
 def test_change_mapping_wrong_trend():
