@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import datagen, evalsuite, physics
+from . import evalsuite, physics
 from .datagen import Query, Trace
 from .physics import CallCounter, Geometry, SimResult, TargetSpec
 
@@ -335,33 +335,6 @@ def surrogate_query(
     return top, res
 
 
-def _baseline_row(
-    query: Query, geom: Geometry, res: SimResult, calls: int
-) -> dict:
-    target = physics.target_from_dict(query.ground_truth["target"])
-    ok, qual = evalsuite.success_quality(res, target)
-    text = datagen.design_answer(
-        geom, res.dispersion_ps_nm_km, res.loss_db_km, target.lambda_um
-    )
-    return {
-        "query_id": query.id,
-        "trace_id": query.trace_ids[0],
-        "qtype": query.qtype,
-        "f1": evalsuite.token_f1(text, query.answer_text),
-        "design": None,
-        "param": evalsuite.param_accuracy(
-            geom.as_dict(), query.ground_truth["reference_geometry"]
-        ),
-        "trend": None,
-        "succ": 1.0 if ok else 0.0,
-        "qual": qual,
-        "phys": 1.0 if ok else 0.0,
-        "passed": ok,
-        "calls": calls,
-        "answer_text": text,
-    }
-
-
 def run_baseline(
     kind: str,
     queries: list[Query],
@@ -401,7 +374,9 @@ def run_baseline(
             geom, res, _ = nelder_mead_query(target, counter, rng)
         else:
             geom, res = surrogate_query(model, target, counter, rng)
-        rows.append(_baseline_row(q, geom, res, counter.per_query_calls))
+        row = evalsuite.design_row(q, geom, res)
+        row["calls"] = counter.per_query_calls
+        rows.append(row)
     return {
         "rows": rows,
         "total_calls": counter.total_calls,

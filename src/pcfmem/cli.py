@@ -75,6 +75,16 @@ def load_config(path: str | None) -> RunConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise CorpusFormatError(f"unknown config keys: {', '.join(unknown)}")
+    defaults = RunConfig()
+    for name, value in raw.items():
+        want = type(getattr(defaults, name))
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise CorpusFormatError(
+                f"config key {name!r} must be of type {want.__name__}, got {value!r}"
+            )
+    if "ablation" in raw:
+        raw["ablation"] = _canonical_ablation(raw["ablation"])
     return RunConfig(**raw)
 
 
@@ -126,7 +136,14 @@ def _load_corpus(data_dir: str):
     queries = datagen.load_queries(paths["queries"])
     with open(paths["splits"], encoding="utf-8") as fh:
         splits = json.load(fh)
-    return {t.id: t for t in traces}, queries, splits
+    by_id = {t.id: t for t in traces}
+    for name in ("train", "val", "test"):
+        ids = splits.get(name) if isinstance(splits, dict) else None
+        if not (isinstance(ids, list) and all(isinstance(i, str) and i in by_id for i in ids)):
+            raise CorpusFormatError(
+                f"{paths['splits']}: {name!r} must be a list of ids from {paths['traces']}"
+            )
+    return by_id, queries, splits
 
 
 def _split_queries(queries, trace_ids) -> list:

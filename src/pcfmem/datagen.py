@@ -567,8 +567,8 @@ def split(traces: list[Trace], master_seed: int) -> dict:
         by_family.setdefault(t.family, []).append(t.id)
     rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(3,)))
     out = {"train": [], "val": [], "test": []}
-    for family in sorted(by_family):
-        ids = sorted(by_family[family])
+    for family in range(N_FAMILIES):
+        ids = sorted(by_family.get(family, []))
         if len(ids) < 10:
             raise ValueError(f"family {family} has {len(ids)} traces; need >= 10")
         perm = rng.permutation(len(ids))

@@ -108,6 +108,35 @@ def _clamp_geometry(pitch: float, hole_d: float, rings: float) -> Geometry:
     return Geometry(pitch, hole_d, n)
 
 
+def answer_row(query: Query, text: str, passed: bool, **rates) -> dict:
+    """The row every answerer and baseline returns for ``query``.
+
+    Rate columns not given are None; F1 scores ``text`` against the
+    reference answer.
+    """
+    row = dict.fromkeys(RATE_COLUMNS)
+    row.update(rates, f1=token_f1(text, query.answer_text), answer_text=text, passed=passed)
+    row.update(query_id=query.id, trace_id=query.trace_ids[0], qtype=query.qtype)
+    return row
+
+
+def design_row(query: Query, geom: Geometry, res: SimResult) -> dict:
+    """Score a proposed geometry for a parameter_adjustment query.
+
+    The agent and every baseline build their row here, so both are judged on
+    the same success, quality and parameter-accuracy columns.
+    """
+    gt = query.ground_truth
+    target = physics.target_from_dict(gt["target"])
+    ok, qual = success_quality(res, target)
+    text = datagen.design_answer(
+        geom, res.dispersion_ps_nm_km, res.loss_db_km, target.lambda_um
+    )
+    hit = 1.0 if ok else 0.0
+    param = param_accuracy(geom.as_dict(), gt["reference_geometry"])
+    return answer_row(query, text, ok, param=param, succ=hit, qual=qual, phys=hit)
+
+
 def _answer_trend(bank: memory.MemoryBank, query: Query) -> dict:
     gt = query.ground_truth
     qvec = embed.embed_text(query.text)
@@ -128,17 +157,8 @@ def _answer_trend(bank: memory.MemoryBank, query: Query) -> dict:
         word = "increase" if sign > 0 else "decrease"
         text = f"{gt['metric']} will {word} when {gt['param']} increases"
     passed = sign == int(gt["direction"])
-    return {
-        "answer_text": text,
-        "f1": token_f1(text, query.answer_text),
-        "design": None,
-        "param": None,
-        "trend": 1.0 if passed else 0.0,
-        "succ": None,
-        "qual": None,
-        "phys": 1.0 if passed else 0.0,
-        "passed": passed,
-    }
+    hit = 1.0 if passed else 0.0
+    return answer_row(query, text, passed, trend=hit, phys=hit)
 
 
 def _slope_entries(entries: list[memory.MemoryEntry], metric: str):
@@ -188,25 +208,10 @@ def _answer_param(bank: memory.MemoryBank, query: Query, counter: CallCounter) -
         geom = _clamp_geometry(2.0, 1.0, 6)
 
     res = physics.simulate(geom, target.lambda_um, counter)
-    ok, qual = success_quality(res, target)
-    text = datagen.design_answer(
-        geom, res.dispersion_ps_nm_km, res.loss_db_km, target.lambda_um
-    )
-    return {
-        "answer_text": text,
-        "f1": token_f1(text, query.answer_text),
-        "design": None,
-        "param": param_accuracy(geom.as_dict(), gt["reference_geometry"]),
-        "trend": None,
-        "succ": 1.0 if ok else 0.0,
-        "qual": qual,
-        "phys": 1.0 if ok else 0.0,
-        "passed": ok,
-        "proposal": geom.as_dict(),
-        "sim": res.as_dict(),
-        "target": gt["target"],
-        "retrieved": [e.as_dict() for e in retrieved],
-    }
+    row = design_row(query, geom, res)
+    row.update(proposal=geom.as_dict(), sim=res.as_dict(), target=gt["target"])
+    row["retrieved"] = [e.as_dict() for e in retrieved]
+    return row
 
 
 def _answer_reasoning(bank: memory.MemoryBank, query: Query) -> dict:
@@ -221,18 +226,7 @@ def _answer_reasoning(bank: memory.MemoryBank, query: Query) -> dict:
         context += " " + " ".join(lead + ["um"])
     text = "; ".join(parts + [context])
     design = concept_coverage(text)
-    passed = design >= 0.5
-    return {
-        "answer_text": text,
-        "f1": token_f1(text, query.answer_text),
-        "design": design,
-        "param": None,
-        "trend": None,
-        "succ": None,
-        "qual": None,
-        "phys": None,
-        "passed": passed,
-    }
+    return answer_row(query, text, design >= 0.5, design=design)
 
 
 def _answer_failure(bank: memory.MemoryBank, query: Query) -> dict:
@@ -240,17 +234,7 @@ def _answer_failure(bank: memory.MemoryBank, query: Query) -> dict:
     pred = designer.classify_planted(gt["planted_entry"], bank)
     text = f"the note is a {pred.replace('_', ' ')}"
     passed = pred == gt["failure_type"]
-    return {
-        "answer_text": text,
-        "f1": token_f1(text, query.answer_text),
-        "design": None,
-        "param": None,
-        "trend": None,
-        "succ": None,
-        "qual": None,
-        "phys": 1.0 if passed else 0.0,
-        "passed": passed,
-    }
+    return answer_row(query, text, passed, phys=1.0 if passed else 0.0)
 
 
 def answer_query(bank: memory.MemoryBank, query: Query, counter: CallCounter) -> dict:
@@ -259,19 +243,14 @@ def answer_query(bank: memory.MemoryBank, query: Query, counter: CallCounter) ->
     Only parameter_adjustment charges the env (exactly one verification).
     """
     if query.qtype == "trend_prediction":
-        row = _answer_trend(bank, query)
-    elif query.qtype == "parameter_adjustment":
-        row = _answer_param(bank, query, counter)
-    elif query.qtype == "design_reasoning":
-        row = _answer_reasoning(bank, query)
-    elif query.qtype == "failure_analysis":
-        row = _answer_failure(bank, query)
-    else:
-        raise ValueError(f"unknown query type: {query.qtype}")
-    row["query_id"] = query.id
-    row["trace_id"] = query.trace_ids[0]
-    row["qtype"] = query.qtype
-    return row
+        return _answer_trend(bank, query)
+    if query.qtype == "parameter_adjustment":
+        return _answer_param(bank, query, counter)
+    if query.qtype == "design_reasoning":
+        return _answer_reasoning(bank, query)
+    if query.qtype == "failure_analysis":
+        return _answer_failure(bank, query)
+    raise ValueError(f"unknown query type: {query.qtype}")
 
 
 def episode_queries(

@@ -10,7 +10,7 @@ per-edit outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import memory, physics
 from .datagen import Span
@@ -117,17 +117,46 @@ def span_evidence(span: Span, target: TargetSpec) -> SpanEvidence:
     )
 
 
-def _entry_statement(
-    param: str, metric: str, sign: int, slope: float, regime: str, bucket: str, scoped: bool
-) -> str:
-    word = "rises" if sign > 0 else "falls"
+def _entry_statement(ev: SpanEvidence, metric: str, scoped: bool) -> str:
+    word = "rises" if ev.signs[metric] > 0 else "falls"
     base = (
-        f"{metric} {word} as {param} increases, slope {slope:.4g} per unit, "
-        f"{regime} fill regime"
+        f"{metric} {word} as {ev.param} increases, slope {ev.slopes[metric]:.4g} per unit, "
+        f"{ev.regime} fill regime"
     )
     if scoped:
-        base += f", {bucket}"
+        base += f", {ev.bucket}"
     return base
+
+
+def _insert(
+    ev: SpanEvidence,
+    metric: str,
+    kind: str,
+    statement: str,
+    direction: int,
+    slope: float,
+    rationale: str,
+    observed: dict | None = None,
+) -> MemoryEdit:
+    """A new entry keyed on the span's parameter, bucket and regime.
+
+    It starts at support 1 and confidence 0.5, at the span's geometry, and
+    records the span's observed metrics unless ``observed`` is given.
+    """
+    return MemoryEdit(
+        op="INSERT",
+        key=MemoryKey(ev.param, metric, ev.bucket, ev.regime),
+        kind=kind,
+        statement=statement,
+        direction=direction,
+        slope=slope,
+        support_count=1,
+        confidence=0.5,
+        geom=ev.geom_after,
+        observed=dict(ev.observed) if observed is None else observed,
+        created_step=ev.step,
+        rationale=rationale,
+    )
 
 
 def _rule_insert_param_map(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
@@ -141,25 +170,9 @@ def _rule_insert_param_map(skill: Skill, ev: SpanEvidence, retrieved) -> list[Me
             fire = ev.norm_deltas[m] >= theta
         if not fire or ev.signs[m] == 0:
             continue
-        key = MemoryKey(ev.param, m, ev.bucket, ev.regime)
-        edits.append(
-            MemoryEdit(
-                op="INSERT",
-                key=key,
-                kind="param_map",
-                statement=_entry_statement(
-                    ev.param, m, ev.signs[m], ev.slopes[m], ev.regime, ev.bucket, scoped
-                ),
-                direction=ev.signs[m],
-                slope=ev.slopes[m],
-                support_count=1,
-                confidence=0.5,
-                geom=ev.geom_after,
-                observed=dict(ev.observed),
-                created_step=ev.step,
-                rationale=f"observed {ev.param} move changed {m}",
-            )
-        )
+        statement = _entry_statement(ev, m, scoped)
+        rationale = f"observed {ev.param} move changed {m}"
+        edits.append(_insert(ev, m, "param_map", statement, ev.signs[m], ev.slopes[m], rationale))
     return edits
 
 
@@ -203,24 +216,10 @@ def _rule_update_trend(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memory
             )
         else:
             if regime_aware and not same_regime:
-                key = MemoryKey(ev.param, m, ev.bucket, ev.regime)
+                statement = _entry_statement(ev, m, False)
+                rationale = "regime split on cross-regime disagreement"
                 edits.append(
-                    MemoryEdit(
-                        op="INSERT",
-                        key=key,
-                        kind="trend",
-                        statement=_entry_statement(
-                            ev.param, m, ev.signs[m], ev.slopes[m], ev.regime, ev.bucket, False
-                        ),
-                        direction=ev.signs[m],
-                        slope=ev.slopes[m],
-                        support_count=1,
-                        confidence=0.5,
-                        geom=ev.geom_after,
-                        observed=dict(ev.observed),
-                        created_step=ev.step,
-                        rationale="regime split on cross-regime disagreement",
-                    )
+                    _insert(ev, m, "trend", statement, ev.signs[m], ev.slopes[m], rationale)
                 )
             else:
                 edits.append(
@@ -292,22 +291,15 @@ def _rule_insert_boundary(skill: Skill, ev: SpanEvidence, retrieved) -> list[Mem
     else:
         detail = f"target band missed by {ev.miss_after:.3g} tolerance units"
     return [
-        MemoryEdit(
-            op="INSERT",
-            key=MemoryKey(ev.param, metric, ev.bucket, ev.regime),
-            kind="boundary",
-            statement=(
-                f"failure boundary on {metric}: {detail} after moving "
-                f"{ev.param} in the {ev.regime} fill regime"
-            ),
-            direction=1,
-            slope=ev.miss_after,
-            support_count=1,
-            confidence=0.5,
-            geom=ev.geom_after,
-            observed=dict(ev.observed),
-            created_step=ev.step,
-            rationale="tolerance band or geometry bound violated",
+        _insert(
+            ev,
+            metric,
+            "boundary",
+            f"failure boundary on {metric}: {detail} after moving "
+            f"{ev.param} in the {ev.regime} fill regime",
+            1,
+            ev.miss_after,
+            "tolerance band or geometry bound violated",
         )
     ]
 
@@ -319,26 +311,12 @@ def _rule_insert_hotspot(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memo
         slope_norm = abs(ev.slopes[m]) / TOLS[m]
         if slope_norm < theta_hot or ev.signs[m] == 0:
             continue
-        edits.append(
-            MemoryEdit(
-                op="INSERT",
-                key=MemoryKey(ev.param, m, ev.bucket, ev.regime),
-                kind="hotspot",
-                statement=(
-                    f"sensitivity hotspot: {m} swings {slope_norm:.3g} tolerance "
-                    f"units per unit {ev.param}, take smaller moves in the "
-                    f"{ev.regime} fill regime"
-                ),
-                direction=ev.signs[m],
-                slope=ev.slopes[m],
-                support_count=1,
-                confidence=0.5,
-                geom=ev.geom_after,
-                observed=dict(ev.observed),
-                created_step=ev.step,
-                rationale=f"normalized slope {slope_norm:.3g} >= {theta_hot:.3g}",
-            )
+        statement = (
+            f"sensitivity hotspot: {m} swings {slope_norm:.3g} tolerance units per unit "
+            f"{ev.param}, take smaller moves in the {ev.regime} fill regime"
         )
+        rationale = f"normalized slope {slope_norm:.3g} >= {theta_hot:.3g}"
+        edits.append(_insert(ev, m, "hotspot", statement, ev.signs[m], ev.slopes[m], rationale))
     return edits
 
 
@@ -350,23 +328,17 @@ def _rule_update_frontier(skill: Skill, ev: SpanEvidence, retrieved) -> list[Mem
         if e.kind == "frontier_point" and e.key == key:
             existing = e
             break
-    insert = MemoryEdit(
-        op="INSERT",
-        key=key,
-        kind="frontier_point",
-        statement=(
-            f"frontier point: dispersion error {d_err:.3g} and loss error "
-            f"{a_err:.3g} tolerance units after moving {ev.param} in the "
-            f"{ev.regime} fill regime"
-        ),
-        direction=ev.signs.get("dispersion", 0) or 1,
-        slope=ev.slopes.get("dispersion", 0.0),
-        support_count=1,
-        confidence=0.5,
-        geom=ev.geom_after,
+    insert = _insert(
+        ev,
+        "dispersion",
+        "frontier_point",
+        f"frontier point: dispersion error {d_err:.3g} and loss error "
+        f"{a_err:.3g} tolerance units after moving {ev.param} in the "
+        f"{ev.regime} fill regime",
+        ev.signs.get("dispersion", 0) or 1,
+        ev.slopes.get("dispersion", 0.0),
+        "non-dominated trade-off point",
         observed={**ev.observed, "d_err": d_err, "a_err": a_err},
-        created_step=ev.step,
-        rationale="non-dominated trade-off point",
     )
     if existing is None:
         return [insert]

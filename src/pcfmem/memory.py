@@ -25,10 +25,6 @@ REGIME_MID_MAX = 0.70
 BUCKET_SPLIT_UM = 1.45
 
 
-class SnapshotError(ValueError):
-    """Malformed serialized bank."""
-
-
 def lambda_bucket(lambda_um: float) -> str:
     return "1.31-band" if lambda_um < BUCKET_SPLIT_UM else "1.55-band"
 
@@ -48,9 +44,6 @@ class MemoryKey:
     lambda_bucket: str
     regime: str
 
-    def as_tuple(self) -> tuple:
-        return (self.param, self.metric, self.lambda_bucket, self.regime)
-
     def as_dict(self) -> dict:
         return {
             "param": self.param,
@@ -58,10 +51,6 @@ class MemoryKey:
             "lambda_bucket": self.lambda_bucket,
             "regime": self.regime,
         }
-
-
-def key_from_dict(d: dict) -> MemoryKey:
-    return MemoryKey(d["param"], d["metric"], d["lambda_bucket"], d["regime"])
 
 
 @dataclass
@@ -98,27 +87,6 @@ class MemoryEntry:
             "geom": self.geom,
             "observed": self.observed,
         }
-
-
-def entry_from_dict(d: dict) -> MemoryEntry:
-    if d.get("kind") not in KINDS:
-        raise SnapshotError(f"entry {d.get('id')}: bad kind {d.get('kind')!r}")
-    return MemoryEntry(
-        id=int(d["id"]),
-        key=key_from_dict(d["key"]),
-        kind=d["kind"],
-        statement=d["statement"],
-        direction=int(d["direction"]),
-        slope=float(d["slope"]),
-        support_count=int(d["support_count"]),
-        confidence=float(d["confidence"]),
-        created_step=int(d["created_step"]),
-        archived=bool(d["archived"]),
-        archive_reason=d.get("archive_reason"),
-        contradictions=int(d.get("contradictions", 0)),
-        geom=d.get("geom"),
-        observed=d.get("observed"),
-    )
 
 
 @dataclass
@@ -187,6 +155,16 @@ def retrieve(bank: MemoryBank, query: np.ndarray, k: int = 5) -> list[MemoryEntr
     return [e for _, _, e in scored[:k]]
 
 
+def _target(bank: MemoryBank, edit: MemoryEdit) -> Optional[MemoryEntry]:
+    """The active entry an UPDATE or DELETE names, by id or by (key, kind)."""
+    if edit.target_id is not None:
+        entry = bank.by_id(edit.target_id)
+        return None if entry is None or entry.archived else entry
+    if edit.key is not None and edit.kind is not None:
+        return bank.active_by_key(edit.key, edit.kind)
+    return None
+
+
 def _apply_one(bank: MemoryBank, edit: MemoryEdit, index: int) -> EditOutcome:
     if edit.op == "NOOP":
         return EditOutcome(index, "noop", detail=edit.rationale)
@@ -215,13 +193,7 @@ def _apply_one(bank: MemoryBank, edit: MemoryEdit, index: int) -> EditOutcome:
         return EditOutcome(index, "applied", entry_id=entry.id)
 
     if edit.op == "UPDATE":
-        target = None
-        if edit.target_id is not None:
-            cand = bank.by_id(edit.target_id)
-            if cand is not None and not cand.archived:
-                target = cand
-        elif edit.key is not None and edit.kind is not None:
-            target = bank.active_by_key(edit.key, edit.kind)
+        target = _target(bank, edit)
         if target is None:
             return EditOutcome(index, "rejected", detail="update target missing")
         if edit.statement:
@@ -243,13 +215,7 @@ def _apply_one(bank: MemoryBank, edit: MemoryEdit, index: int) -> EditOutcome:
         return EditOutcome(index, "applied", entry_id=target.id)
 
     if edit.op == "DELETE":
-        target = None
-        if edit.target_id is not None:
-            cand = bank.by_id(edit.target_id)
-            if cand is not None and not cand.archived:
-                target = cand
-        elif edit.key is not None and edit.kind is not None:
-            target = bank.active_by_key(edit.key, edit.kind)
+        target = _target(bank, edit)
         if target is None:
             return EditOutcome(index, "rejected", detail="delete target missing")
         if not edit.rationale:
@@ -275,17 +241,3 @@ def snapshot(bank: MemoryBank) -> str:
         "entries": [e.as_dict() for e in sorted(bank.entries, key=lambda e: e.id)],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def load(serialized: str) -> MemoryBank:
-    try:
-        doc = json.loads(serialized)
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"bad snapshot at pos {exc.pos}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "entries" not in doc or "next_id" not in doc:
-        raise SnapshotError("snapshot missing entries/next_id")
-    bank = MemoryBank()
-    bank.next_id = int(doc["next_id"])
-    for raw in doc["entries"]:
-        bank.entries.append(entry_from_dict(raw))
-    return bank

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pcfmem import baselines, physics
+from pcfmem import baselines, datagen, evalsuite, physics
+from pcfmem.memory import MemoryBank
 from pcfmem.physics import CallCounter, Geometry, TargetSpec
 
 LAM = 1.55
@@ -136,3 +137,35 @@ def test_run_baseline_is_deterministic(small_corpus):
     assert a["rows"] == b["rows"]
     assert a["total_calls"] == b["total_calls"]
     assert a["total_calls"] <= baselines.NM_BUDGET * len(a["rows"])
+
+
+def test_agent_and_baseline_rows_share_one_schema(
+    small_corpus, traces_by_id, surrogate_model, monkeypatch
+):
+    shared = set(evalsuite.RATE_COLUMNS) | {
+        "answer_text", "passed", "query_id", "trace_id", "qtype",
+    }
+    first = {}
+    for q in small_corpus["queries"]:
+        first.setdefault(q.qtype, q)
+    assert sorted(first) == sorted(datagen.QUERY_TYPES)
+    agent_rows = {
+        qtype: evalsuite.answer_query(MemoryBank(), q, CallCounter())
+        for qtype, q in first.items()
+    }
+    for row in agent_rows.values():
+        assert shared <= row.keys()
+    agent_design = agent_rows["parameter_adjustment"].keys() - {
+        "proposal", "sim", "target", "retrieved",
+    }
+
+    monkeypatch.setattr(baselines, "train_surrogate", lambda *a: surrogate_model[0])
+    test_ids = set(small_corpus["splits"]["test"][:3])
+    queries = [q for q in small_corpus["queries"] if q.trace_ids[0] in test_ids]
+    train = [traces_by_id[small_corpus["splits"]["train"][0]]]
+    for kind in baselines.BASELINE_KINDS:
+        rows = baselines.run_baseline(kind, queries, 0, train)["rows"]
+        assert rows
+        for row in rows:
+            assert shared <= row.keys()
+            assert row.keys() - {"calls"} == agent_design

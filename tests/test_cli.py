@@ -59,6 +59,47 @@ def test_config_validation(tmp_path, capsys):
     )
     assert code == 2
     assert "one process" in err
+    # values are checked against the type of each field's default
+    bad_values = [
+        ("baseline", {"seed": "x"}, "'seed'"),
+        ("eval", {"batch": "8"}, "'batch'"),
+        ("eval", {"learning_rate": True}, "'learning_rate'"),
+        ("eval", {"data_dir": 3}, "'data_dir'"),
+        ("eval", {"ablation": "bogus"}, "unknown ablation"),
+    ]
+    for command, raw, message in bad_values:
+        cfg.write_text(json.dumps(raw))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+        if command == "baseline":
+            argv += ["--kind", "random_search"]
+        code, _, err = _run(argv, capsys)
+        assert code == 2, raw
+        assert message in err, raw
+    cfg.write_text(json.dumps({"ablation": "no-controller", "learning_rate": 1}))
+    loaded = cli.load_config(str(cfg))
+    assert loaded.ablation == "wo_controller"
+    assert loaded.learning_rate == 1
+
+
+MALFORMED_SPLITS = {
+    "unknown_test_id": (
+        ["eval", "--ablate", "wo_controller"],
+        lambda s: dict(s, test=s["test"] + ["t99999"]),
+    ),
+    "array": (["baseline", "--kind", "random_search"], lambda s: []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPLITS))
+def test_malformed_splits_is_a_data_error(name, tmp_path, capsys, small_corpus):
+    argv, edit = MALFORMED_SPLITS[name]
+    paths = cli._data_paths(str(tmp_path))
+    datagen.save_traces(paths["traces"], small_corpus["traces"])
+    datagen.save_queries(paths["queries"], small_corpus["queries"])
+    (tmp_path / "splits.json").write_text(json.dumps(edit(small_corpus["splits"])))
+    code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert "splits.json" in err
 
 
 def _bank_doc(edit):

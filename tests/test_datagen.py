@@ -146,8 +146,11 @@ def test_split_determinism_and_minimum_size(small_corpus):
     again = datagen.split(small_corpus["traces"], 123)
     assert again == small_corpus["splits"]
     tiny = datagen.gen_corpus(16, 3, CallCounter())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has 2 traces; need >= 10"):
         datagen.split(tiny, 3)
+    # no family may be absent, so an empty corpus fails the same way
+    with pytest.raises(ValueError, match="family 0 has 0 traces; need >= 10"):
+        datagen.split([], 3)
 
 
 def test_jsonl_round_trip(tmp_path, small_corpus):
