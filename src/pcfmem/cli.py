@@ -143,6 +143,10 @@ def _load_corpus(data_dir: str):
             raise CorpusFormatError(
                 f"{paths['splits']}: {name!r} must be a list of ids from {paths['traces']}"
             )
+        # an empty val split would make the designer gate compare 0 with 0
+        # and accept every proposal
+        if not ids:
+            raise CorpusFormatError(f"{paths['splits']}: {name!r} is empty")
     return by_id, queries, splits
 
 

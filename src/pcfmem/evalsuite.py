@@ -270,31 +270,41 @@ def episode_queries(
     return r_final, rows
 
 
-def play_trace(
-    trace: Trace,
+def play_traces(
+    traces: list[Trace],
     skill_bank,
     params: Optional[dict],
     cache: rollout.FeatureCache,
     mode: str,
     master_seed: int,
-    seed_key: tuple[int, ...],
-    queries: list[Query],
+    seed_keys: list[tuple[int, ...]],
+    queries_by_trace: dict[str, list[Query]],
     counter: CallCounter,
     k_retrieve: int,
     top_k: int,
     bias: Optional[np.ndarray] = None,
-) -> tuple[rollout.EpisodeRollout, float, list[dict]]:
-    """Roll one trace out, then answer its queries from the episode's memory.
+) -> list[tuple[rollout.EpisodeRollout, float, list[dict]]]:
+    """Roll the traces out together, then answer each one's queries from
+    its episode's memory, slot by slot.
 
-    The episode draws from the stream ``SeedSequence(master_seed, seed_key)``.
-    Returns (episode, fraction of queries passed, per-query rows).
+    Slot i draws from the stream ``SeedSequence(master_seed, seed_keys[i])``.
+    Returns one (episode, fraction of queries passed, per-query rows) per
+    trace.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=seed_key))
-    ep = rollout.run_episode(
-        trace, skill_bank, params, cache, k_retrieve, top_k, mode, rng, bias
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+        for key in seed_keys
+    ]
+    eps = rollout.run_episode(
+        traces, skill_bank, params, cache, k_retrieve, top_k, mode, rngs, bias
     )
-    r_final, rows = episode_queries(ep.mem_bank, queries, counter)
-    return ep, r_final, rows
+    out = []
+    for trace, ep in zip(traces, eps):
+        r_final, rows = episode_queries(
+            ep.mem_bank, queries_by_trace.get(trace.id, []), counter
+        )
+        out.append((ep, r_final, rows))
+    return out
 
 
 def _eval_seed_key(trace_id: str) -> tuple[int, int]:
@@ -314,23 +324,21 @@ def evaluate_agent(
     k_retrieve: int = 5,
     top_k: int = 2,
 ) -> dict:
-    """Greedy (or ablation-mode) rollout per trace, then answer its queries.
+    """Greedy (or ablation-mode) rollout of all traces together, then answer
+    each trace's queries.
 
     Returns {"rows": per-query rows sorted by query id, "total_calls": int}.
     """
     queries_by_trace: dict[str, list[Query]] = {}
     for q in queries:
         queries_by_trace.setdefault(q.trace_ids[0], []).append(q)
-    cache = rollout.FeatureCache()
     counter = CallCounter()
-    rows: list[dict] = []
-    for trace in traces:
-        _, _, trace_rows = play_trace(
-            trace, skill_bank, params, cache, mode, master_seed,
-            _eval_seed_key(trace.id), queries_by_trace.get(trace.id, []), counter,
-            k_retrieve, top_k,
-        )
-        rows.extend(trace_rows)
+    played = play_traces(
+        traces, skill_bank, params, rollout.FeatureCache(), mode, master_seed,
+        [_eval_seed_key(t.id) for t in traces], queries_by_trace, counter,
+        k_retrieve, top_k,
+    )
+    rows = [row for _, _, trace_rows in played for row in trace_rows]
     rows.sort(key=lambda r: r["query_id"])
     return {"rows": rows, "total_calls": counter.total_calls}
 

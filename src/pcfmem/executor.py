@@ -36,10 +36,9 @@ REWARD_CLAMP = 0.2
 
 @dataclass
 class SpanContext:
-    span: Span
+    evidence: SpanEvidence
     retrieved: list[MemoryEntry]
     selected: list[Skill]
-    target: TargetSpec
 
 
 @dataclass
@@ -379,13 +378,12 @@ def execute(ctx: SpanContext) -> tuple[list[MemoryEdit], list[ProcessEvent]]:
     apply the edits and then complete the event list with
     events_from_outcomes().
     """
-    ev = span_evidence(ctx.span, ctx.target)
     edits: list[MemoryEdit] = []
     for skill in ctx.selected:
         rule = _RULES.get(skill.template_id)
         if rule is None:
             raise SkillConfigError(f"unknown template {skill.template_id!r}")
-        edits.extend(rule(skill, ev, ctx.retrieved))
+        edits.extend(rule(skill, ctx.evidence, ctx.retrieved))
     events = [
         ProcessEvent(i, _skip_category(e), REWARD_MAP[_skip_category(e)])
         for i, e in enumerate(edits)

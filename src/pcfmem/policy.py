@@ -136,29 +136,25 @@ def build_context(
     return np.concatenate([span_emb, numeric, pool_memory(span_emb, entry_embs)])
 
 
-def forward_vec(params: dict, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rollout-path forward: (match vector h, value)."""
-    t1 = np.tanh(np.dot(x, params["w1"]) + params["b1"])
-    t2 = np.tanh(np.dot(t1, params["w2"]) + params["b2"])
-    v = float(np.dot(t2, params["wv"])) + float(params["bv"][0])
-    norm = math.sqrt(float(np.dot(t2, t2)))
-    h = t2 / norm if norm > 0.0 else np.zeros_like(t2)
-    return h, v
+def encode_context(params: dict, contexts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Context rows of a batch of episodes and one forward pass over them.
 
-
-def encode_context(
-    params: dict,
-    span_emb: np.ndarray,
-    numeric: np.ndarray,
-    entry_embs: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, float]:
-    x = build_context(span_emb, numeric, entry_embs)
-    h, v = forward_vec(params, x)
-    return x, h, v
+    ``contexts[i]`` is (span_emb, numeric, entry_embs) for a live slot, or
+    None for a finished one, whose row stays zero. The batch height is
+    always ``len(contexts)``: a row's bits depend on the height of the
+    matrix product, not on the other rows' values. Returns (x, h, v).
+    """
+    x = np.zeros((len(contexts), IN_DIM))
+    for row, ctx in zip(x, contexts):
+        if ctx is not None:
+            row[...] = build_context(*ctx)
+    fwd = forward_batch(params, x)
+    return x, fwd["h"], fwd["v"]
 
 
 def skill_logits(h: np.ndarray, u_matrix: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return (u_matrix @ h) / TAU + bias
+    """Match logits of match vectors h (..., 256) against skills u (S, 256)."""
+    return (h @ u_matrix.T) / TAU + bias
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -254,17 +250,20 @@ def zero_grads() -> dict:
     return _tree(np.zeros(N_PARAMS))
 
 
-def backward_batch(params: dict, cache: dict, d_h: np.ndarray, d_v: np.ndarray) -> dict:
+def backward_batch(
+    params: dict, cache: dict, d_h: np.ndarray, d_v: np.ndarray, out: dict | None = None
+) -> dict:
     """Backprop d loss/d params given gradients at h (rows) and v.
 
-    The gradients are written straight into the views of one flat vector.
+    The gradients are written straight into the views of one flat vector:
+    those of ``out`` when given (a tree from zero_grads), else a new one.
     """
     t1, t2, norms, h = cache["t1"], cache["t2"], cache["norms"], cache["h"]
     # h = t2/||t2||: project out the radial component
     inner = np.sum(d_h * h, axis=1, keepdims=True)
     d_t2 = (d_h - h * inner) / norms
     d_t2 = d_t2 + d_v[:, None] * params["wv"][None, :]
-    grads = _tree(np.empty(N_PARAMS))
+    grads = _tree(np.empty(N_PARAMS)) if out is None else out
     np.matmul(t2.T, d_v, out=grads["wv"])
     grads["bv"][0] = d_v.sum()
     d_a2 = d_t2 * (1.0 - t2 * t2)
@@ -296,10 +295,11 @@ def ppo_loss_and_grads(
     clip: float,
     value_coef: float,
     entropy_coef: float,
+    out: dict | None = None,
 ) -> tuple[float, dict, dict]:
     """Clipped-surrogate loss, value loss and first-pick entropy bonus of one
-    minibatch, with gradients as one flat tree. Raises NumericError on
-    non-finite advantages or loss."""
+    minibatch, with gradients as one flat tree (``out`` when given). Raises
+    NumericError on non-finite advantages or loss."""
     if not np.isfinite(batch.advantages).all():
         raise NumericError("non-finite advantages in a PPO minibatch")
     b = batch.x.shape[0]
@@ -307,7 +307,7 @@ def ppo_loss_and_grads(
     h, v = cache["h"], cache["v"]
     u_mat = batch.u_mat
 
-    z = (h @ u_mat.T) / TAU + batch.bias
+    z = skill_logits(h, u_mat, batch.bias)
     lp, g_lp = _ordered_logprob_rows(softmax(z), batch.actions)
     ent, d_ent = first_pick_entropy(z)
     ratios = np.exp(lp - batch.logprob_old)
@@ -335,18 +335,15 @@ def ppo_loss_and_grads(
         "entropy": ent_total / b,
         "value_loss": v_total / b,
     }
-    grads = backward_batch(params, cache, d_h, d_v)
+    grads = backward_batch(params, cache, d_h, d_v, out)
     return loss, grads, stats
 
 
-def global_grad_norm(grads: dict) -> float:
-    flat = flat_view(grads)
-    return math.sqrt(float(np.dot(flat, flat)))
-
-
 def clip_grads_(grads: dict, max_norm: float) -> float:
-    norm = global_grad_norm(grads)
+    """Scale the gradients in place to a global L2 norm of at most max_norm;
+    returns the norm before scaling."""
+    flat = flat_view(grads)
+    norm = math.sqrt(float(np.dot(flat, flat)))
     if norm > max_norm and norm > 0.0:
-        flat = flat_view(grads)
         flat *= max_norm / norm
     return norm

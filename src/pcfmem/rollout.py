@@ -1,10 +1,13 @@
-"""Episode mechanics: walk a trace span-by-span, edit memory, log transitions.
+"""Episode mechanics: walk traces span by span, edit memory, log transitions.
 
-One episode processes one trace: retrieve from the growing per-trace memory
-bank, encode the context, pick an ordered skill subset (sampled, greedy, or
-uniform-random depending on mode), execute, and apply the edits. Terminal
-rewards are attached later by the trainer once the trace's queries are
-answered.
+One call runs one episode per trace, and the episodes advance together,
+span position by span position, like PPO's parallel actors. At each
+position every live slot retrieves from its own memory bank; then one
+forward pass over the batch's context rows gives one logit matrix, and
+each slot picks an ordered skill subset (sampled with its own generator,
+greedy, or uniform-random depending on mode), executes it and applies the
+edits to its bank. Terminal rewards are attached later by the trainer once
+each trace's queries are answered.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from .skills import SkillBank
 
 class FeatureCache:
     """Per-run feature cache: text vectors of spans and skill descriptions,
-    and the numeric block of each span."""
+    and the numeric block and executor evidence of each span."""
 
     def __init__(self) -> None:
         self.texts = embed.TextVectors()
         self._numeric: dict = {}
+        self._evidence: dict = {}
 
     def span_text(self, trace: Trace, idx: int) -> np.ndarray:
         return self.texts[trace.spans[idx].text]
@@ -38,6 +42,15 @@ class FeatureCache:
             vec = embed.embed_numeric(span.geom_after, span.sim_after)
             self._numeric[key] = vec
         return vec
+
+    def span_evidence(self, trace: Trace, idx: int) -> executor.SpanEvidence:
+        """The span's evidence against the trace's target; rules only read it."""
+        key = (trace.id, idx)
+        ev = self._evidence.get(key)
+        if ev is None:
+            ev = executor.span_evidence(trace.spans[idx], trace.target)
+            self._evidence[key] = ev
+        return ev
 
 
 def skill_matrix(bank: SkillBank, texts: embed.TextVectors) -> np.ndarray:
@@ -63,62 +76,72 @@ class EpisodeRollout:
 
 
 def run_episode(
-    trace: Trace,
+    traces: list[Trace],
     bank: SkillBank,
     params: Optional[dict],
     cache: FeatureCache,
     k_retrieve: int,
     top_k: int,
     mode: str,
-    rng: Optional[np.random.Generator],
+    rngs: list[Optional[np.random.Generator]],
     bias: Optional[np.ndarray] = None,
-) -> EpisodeRollout:
-    """mode: 'sample' | 'greedy' | 'random' (uniform, controller-free)."""
+) -> list[EpisodeRollout]:
+    """One episode per trace, stepped in lockstep; slot i draws from rngs[i].
+
+    mode: 'sample' | 'greedy' | 'random' (uniform, controller-free). Each
+    slot has its own memory bank, and a slot whose trace has ended keeps a
+    zero context row, so the forward pass always has len(traces) rows and a
+    slot's episode does not depend on its neighbours' trace lengths.
+    """
     u_mat = skill_matrix(bank, cache.texts)
     n_skills = len(bank.skills)
     if bias is None:
         bias = np.zeros(n_skills)
     k_pick = min(top_k, n_skills)
-    mem = memory.MemoryBank()
-    out = EpisodeRollout(trace_id=trace.id, mem_bank=mem)
+    eps = [EpisodeRollout(trace_id=t.id, mem_bank=memory.MemoryBank()) for t in traces]
 
-    for idx in range(len(trace.spans)):
-        span = trace.spans[idx]
-        span_emb = cache.span_text(trace, idx)
-        retrieved = memory.retrieve(mem, span_emb, k_retrieve)
-
-        if mode == "random":
-            perm = rng.permutation(n_skills)
-            action = [int(i) for i in perm[:k_pick]]
-            x, logprob, value = None, 0.0, 0.0
-        else:
-            numeric = cache.span_numeric(trace, idx)
-            entry_embs = [mem.embedding_of(e) for e in retrieved]
-            x, h, value = policy.encode_context(params, span_emb, numeric, entry_embs)
+    for idx in range(max((len(t.spans) for t in traces), default=0)):
+        live = [i for i, t in enumerate(traces) if idx < len(t.spans)]
+        span_embs = {i: cache.span_text(traces[i], idx) for i in live}
+        retrieved = {
+            i: memory.retrieve(eps[i].mem_bank, span_embs[i], k_retrieve) for i in live
+        }
+        if mode != "random":
+            contexts: list = [None] * len(traces)
+            for i in live:
+                contexts[i] = (
+                    span_embs[i],
+                    cache.span_numeric(traces[i], idx),
+                    [eps[i].mem_bank.embedding_of(e) for e in retrieved[i]],
+                )
+            x, h, values = policy.encode_context(params, contexts)
             z = policy.skill_logits(h, u_mat, bias)
-            if mode == "greedy":
-                action = policy.greedy_topk(z, k_pick)
+
+        for i in live:
+            if mode == "random":
+                perm = rngs[i].permutation(n_skills)
+                action = [int(a) for a in perm[:k_pick]]
+                tr = Transition(x=None, action=action, logprob=0.0, value=0.0)
             else:
-                action = policy.sample_topk(z, k_pick, rng)
-            logprob = policy.action_logprob(z, action)
-
-        selected = [bank.skills[i] for i in action]
-        ctx = executor.SpanContext(
-            span=span, retrieved=retrieved, selected=selected, target=trace.target
-        )
-        edits, skip_events = executor.execute(ctx)
-        _, outcomes = memory.apply_edits(mem, edits)
-        events = skip_events + executor.events_from_outcomes(edits, outcomes)
-        r_proc = executor.process_reward(events)
-
-        out.transitions.append(
-            Transition(
-                x=x,
-                action=action,
-                logprob=logprob,
-                value=value,
-                reward=r_proc,
+                if mode == "greedy":
+                    action = policy.greedy_topk(z[i], k_pick)
+                else:
+                    action = policy.sample_topk(z[i], k_pick, rngs[i])
+                tr = Transition(
+                    x=x[i].copy(),
+                    action=action,
+                    logprob=policy.action_logprob(z[i], action),
+                    value=float(values[i]),
+                )
+            ctx = executor.SpanContext(
+                evidence=cache.span_evidence(traces[i], idx),
+                retrieved=retrieved[i],
+                selected=[bank.skills[a] for a in action],
             )
-        )
-        out.r_proc.append(r_proc)
-    return out
+            edits, skip_events = executor.execute(ctx)
+            _, outcomes = memory.apply_edits(eps[i].mem_bank, edits)
+            events = skip_events + executor.events_from_outcomes(edits, outcomes)
+            tr.reward = executor.process_reward(events)
+            eps[i].transitions.append(tr)
+            eps[i].r_proc.append(tr.reward)
+    return eps

@@ -88,6 +88,11 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
     return (adv - adv.mean()) / std
 
 
+# elements per block of the optimizer pass; a block of its six vectors
+# (params, grads, two moments, two scratch) stays in a core's L2 cache
+ADAM_BLOCK = 1 << 15
+
+
 class AdamW:
     """Decoupled weight decay Adam over the flat policy parameter vector."""
 
@@ -97,11 +102,14 @@ class AdamW:
         self.b1, self.b2 = b1, b2
         self.eps = 1e-8
         self.t = 0
-        # flat first and second moments, and two scratch vectors
+        # flat first and second moments, and two block-sized scratch vectors
         self.m = np.zeros(policy.N_PARAMS)
         self.v = np.zeros(policy.N_PARAMS)
-        self._a = np.empty(policy.N_PARAMS)
-        self._b = np.empty(policy.N_PARAMS)
+        self._a = np.empty(ADAM_BLOCK)
+        self._b = np.empty(ADAM_BLOCK)
+        # the (params, grads) trees last stepped and their flat vectors
+        self._trees: tuple = (None, None)
+        self._flat: tuple = ()
 
     def step(self, params: dict, grads: dict) -> None:
         """One in-place pass over the flat vectors of params and grads.
@@ -109,28 +117,36 @@ class AdamW:
         The operations and their order are those of the textbook update
             m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
             p = p - lr (m_hat / (sqrt(v_hat) + eps) + wd p),
-        so the result is bitwise equal to evaluating it array by array.
+        so the result is bitwise equal to evaluating it array by array. They
+        run block by block, so each block stays in cache for all of them.
+        The flat layout of the trees is checked when a new pair is stepped.
         """
-        p = policy.flat_view(params)
-        g = policy.flat_view(grads)
+        if self._trees[0] is not params or self._trees[1] is not grads:
+            self._flat = (policy.flat_view(params), policy.flat_view(grads))
+            self._trees = (params, grads)
+        p_all, g_all = self._flat
         self.t += 1
-        m, v, a, b = self.m, self.v, self._a, self._b
-        m *= self.b1
-        np.multiply(g, 1 - self.b1, out=a)
-        m += a
-        v *= self.b2
-        np.multiply(g, 1 - self.b2, out=a)
-        a *= g
-        v += a
-        np.divide(v, 1 - self.b2**self.t, out=a)
-        np.sqrt(a, out=a)
-        a += self.eps
-        np.divide(m, 1 - self.b1**self.t, out=b)
-        np.divide(b, a, out=a)
-        np.multiply(p, self.wd, out=b)
-        a += b
-        a *= self.lr
-        p -= a
+        c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
+        for s in range(0, policy.N_PARAMS, ADAM_BLOCK):
+            blk = slice(s, s + ADAM_BLOCK)
+            p, g, m, v = p_all[blk], g_all[blk], self.m[blk], self.v[blk]
+            a, b = self._a[: len(p)], self._b[: len(p)]
+            m *= self.b1
+            np.multiply(g, 1 - self.b1, out=a)
+            m += a
+            v *= self.b2
+            np.multiply(g, 1 - self.b2, out=a)
+            a *= g
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, c1, out=b)
+            np.divide(b, a, out=a)
+            np.multiply(p, self.wd, out=b)
+            a += b
+            a *= self.lr
+            p -= a
 
 
 def ppo_update(
@@ -160,6 +176,8 @@ def ppo_update(
             f"with bias {bias.shape}"
         )
     flat = policy.flat_view(params)
+    # one gradient tree, rewritten by every minibatch
+    grads = policy.zero_grads()
     # "skipped" is always 0, since a non-finite minibatch raises; the key stays
     # in results.json for its readers
     stats_acc: dict = {"updates": 0, "skipped": 0}
@@ -177,8 +195,8 @@ def ppo_update(
                 advantages=advantages[idx],
                 returns=returns[idx],
             )
-            _, grads, stats = policy.ppo_loss_and_grads(
-                params, batch, cfg.clip, cfg.value_coef, cfg.entropy_coef
+            _, _, stats = policy.ppo_loss_and_grads(
+                params, batch, cfg.clip, cfg.value_coef, cfg.entropy_coef, grads
             )
             policy.clip_grads_(grads, cfg.grad_clip)
             opt.step(params, grads)
@@ -240,13 +258,13 @@ def run_inner_loop(
         queries_answered = 0
         calls_before = counter.total_calls
 
-        for slot, t_i in enumerate(picks):
-            trace = train_traces[int(t_i)]
-            ep, r_final, rows = evalsuite.play_trace(
-                trace, bank, params, cache, mode, master_seed,
-                (10, outer_epoch, inner, slot), queries_by_trace.get(trace.id, []),
-                counter, cfg.k_retrieve, cfg.top_k, bias,
-            )
+        batch_traces = [train_traces[int(t_i)] for t_i in picks]
+        played = evalsuite.play_traces(
+            batch_traces, bank, params, cache, mode, master_seed,
+            [(10, outer_epoch, inner, slot) for slot in range(len(picks))],
+            queries_by_trace, counter, cfg.k_retrieve, cfg.top_k, bias,
+        )
+        for trace, (ep, r_final, rows) in zip(batch_traces, played):
             queries_answered += len(rows)
             for row in rows:
                 if row["qtype"] == "parameter_adjustment":
@@ -314,12 +332,13 @@ def j_val(
     """Mean episode R_final over the fixed validation subset (greedy policy)."""
     if not val_traces:
         return 0.0
+    played = evalsuite.play_traces(
+        val_traces, bank, params, cache, mode, master_seed,
+        [(13, i) for i in range(len(val_traces))], queries_by_trace, counter,
+        cfg.k_retrieve, cfg.top_k,
+    )
     total = 0.0
-    for i, trace in enumerate(val_traces):
-        _, r_final, _ = evalsuite.play_trace(
-            trace, bank, params, cache, mode, master_seed, (13, i),
-            queries_by_trace.get(trace.id, []), counter, cfg.k_retrieve, cfg.top_k,
-        )
+    for _, r_final, _ in played:
         total += r_final
     return total / len(val_traces)
 

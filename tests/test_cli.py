@@ -4,10 +4,13 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pcfmem
 from pcfmem import cli, datagen, skills, trainer
 from pcfmem.datagen import CorpusFormatError
 
@@ -100,6 +103,22 @@ def test_malformed_splits_is_a_data_error(name, tmp_path, capsys, small_corpus):
     code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
     assert code == cli.EXIT_DATA
     assert "splits.json" in err
+
+
+@pytest.mark.parametrize("empty", ["train", "val", "test"])
+def test_empty_split_is_a_data_error(empty, tmp_path, capsys, small_corpus):
+    paths = cli._data_paths(str(tmp_path))
+    datagen.save_traces(paths["traces"], small_corpus["traces"])
+    datagen.save_queries(paths["queries"], small_corpus["queries"])
+    (tmp_path / "splits.json").write_text(json.dumps(dict(small_corpus["splits"], **{empty: []})))
+    for argv in (
+        ["evolve", "--outer", "1", "--inner", "1"],
+        ["eval", "--ablate", "wo_controller"],
+        ["baseline", "--kind", "random_search"],
+    ):
+        code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_DATA, argv
+        assert f"splits.json: '{empty}' is empty" in err, argv
 
 
 def _bank_doc(edit):
@@ -290,3 +309,38 @@ def test_sweep_writes_one_cell_per_axis_value(tmp_path, capsys):
         (axis, value) for axis, values in cli.SWEEP_AXES.items() for value in values
     ]
     assert len(cells) == 18
+
+
+def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    # the BLAS thread count changes the bits of a matrix product, and through
+    # them the gate decisions of training; pcfmem pins its BLAS to one thread
+    data_dir = tmp_path / "data"
+    assert cli.dispatch(
+        ["gen-data", "--n-traces", "80", "--seed", "11", "--out", str(data_dir)]
+    ) == 0
+    capsys.readouterr()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 11, "data_dir": str(data_dir), "batch": 8}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    names = ("results.json", "bank.json", "checkpoint.npz")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run_{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "pcfmem.cli", "evolve", "--config", str(cfg_path),
+             "--outer", "2", "--inner", "3", "--out", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+            check=True, capture_output=True,
+        )
+        outputs.append([(out / name).read_bytes() for name in names])
+    for name, one, two in zip(names, *outputs):
+        assert one == two, name
+
+
+def test_blas_pin_warns_without_bundled_openblas(monkeypatch, capsys):
+    # a numpy built against another BLAS exports no scipy-openblas symbol
+    monkeypatch.setattr(pcfmem.ctypes, "CDLL", lambda path: object())
+    pcfmem.pin_blas_threads()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "cannot set the BLAS thread count" in err

@@ -332,9 +332,10 @@ def test_eval_seeds_each_trace_id_apart(small_corpus, traces_by_id, monkeypatch)
     states = {}
     real_run_episode = rollout.run_episode
 
-    def spy(trace, *args):
-        states[trace.id] = args[6].bit_generator.state  # the episode's rng
-        return real_run_episode(trace, *args)
+    def spy(batch, *args):
+        for trace, rng in zip(batch, args[6]):  # each slot's rng
+            states[trace.id] = rng.bit_generator.state
+        return real_run_episode(batch, *args)
 
     monkeypatch.setattr(rollout, "run_episode", spy)
     evalsuite.evaluate_agent(

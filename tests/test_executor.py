@@ -27,6 +27,11 @@ def on_target(span):
     )
 
 
+def span_context(span, retrieved, selected, target):
+    """The executor's input for ``span`` judged against ``target``."""
+    return SpanContext(executor.span_evidence(span, target), retrieved, selected)
+
+
 def skill_by_template(template_id, bank=None):
     bank = bank or skills.initial_bank()
     for s in bank.skills:
@@ -57,7 +62,7 @@ def test_span_evidence_detects_bounds():
 
 def test_insert_rule_emits_one_edit_per_moved_metric():
     span = make_span("pitch")
-    ctx = SpanContext(
+    ctx = span_context(
         span=span,
         retrieved=[],
         selected=[skill_by_template("insert_param_map")],
@@ -96,7 +101,7 @@ def test_duplicate_insert_reward_arithmetic():
             )
         ],
     )
-    ctx = SpanContext(
+    ctx = span_context(
         span=span,
         retrieved=[],
         selected=[skill_by_template("insert_param_map")],
@@ -123,7 +128,7 @@ def test_skip_rule_correct_and_incorrect():
         template_id="skip_span", params={"theta_noise": 0.0},
     )
     for sk, correct in ((quiet, True), (loud, False)):
-        ctx = SpanContext(span=span, retrieved=[], selected=[sk], target=on_target(span))
+        ctx = span_context(span=span, retrieved=[], selected=[sk], target=on_target(span))
         edits, events = executor.execute(ctx)
         assert len(edits) == 1 and edits[0].op == "NOOP"
         assert edits[0].skip_correct is correct
@@ -155,7 +160,7 @@ def test_update_rule_supports_and_halves():
         support_count=2,
         confidence=0.8,
     )
-    ctx = SpanContext(
+    ctx = span_context(
         span=span,
         retrieved=[agree, disagree],
         selected=[skill_by_template("update_trend")],
@@ -192,7 +197,7 @@ def test_delete_rule_contradiction_ladder():
         template_id="delete_invalid", params={"theta_del": 2},
     )
     # first contradiction only records the strike
-    ctx = SpanContext(
+    ctx = span_context(
         span=span, retrieved=[stale_entry(0)], selected=[strict], target=on_target(span)
     )
     edits, _ = executor.execute(ctx)
@@ -200,7 +205,7 @@ def test_delete_rule_contradiction_ladder():
     assert edits[0].op == "UPDATE"
     assert edits[0].contradictions == 1
     # second contradiction crosses theta_del and deletes, with a reason
-    ctx = SpanContext(
+    ctx = span_context(
         span=span, retrieved=[stale_entry(1)], selected=[strict], target=on_target(span)
     )
     edits, _ = executor.execute(ctx)
@@ -208,7 +213,7 @@ def test_delete_rule_contradiction_ladder():
     assert edits[0].target_id == 5
     assert "contradicted" in edits[0].rationale
     # the default bank deletes on the first strike (theta_del = 1)
-    ctx = SpanContext(
+    ctx = span_context(
         span=span,
         retrieved=[stale_entry(0)],
         selected=[skill_by_template("delete_invalid")],
@@ -226,7 +231,7 @@ def test_boundary_rule_fires_on_missed_target():
         span.sim_after.lambda_um,
     )
     boundary_skill = skills.make_catalog_skill("failure_boundary_insert", 1, 1)
-    ctx = SpanContext(span=span, retrieved=[], selected=[boundary_skill], target=far)
+    ctx = span_context(span=span, retrieved=[], selected=[boundary_skill], target=far)
     edits, _ = executor.execute(ctx)
     assert len(edits) == 1
     edit = edits[0]
@@ -235,7 +240,7 @@ def test_boundary_rule_fires_on_missed_target():
     assert edit.key.metric == "dispersion"  # the worse-missed metric
     assert edit.slope == pytest.approx(20.0)  # 100 / tol_D
     # on-target span produces nothing
-    ctx = SpanContext(
+    ctx = span_context(
         span=span, retrieved=[], selected=[boundary_skill], target=on_target(span)
     )
     edits, _ = executor.execute(ctx)
@@ -246,11 +251,11 @@ def test_hotspot_rule_threshold():
     span = make_span("pitch")
     lo = skills.make_catalog_skill("sensitivity_hotspot_insert", 1, 1, theta=0.0)
     hi = skills.make_catalog_skill("sensitivity_hotspot_insert", 2, 1, theta=1e12)
-    ctx = SpanContext(span=span, retrieved=[], selected=[lo], target=on_target(span))
+    ctx = span_context(span=span, retrieved=[], selected=[lo], target=on_target(span))
     edits, _ = executor.execute(ctx)
     assert len(edits) == 3
     assert all(e.kind == "hotspot" for e in edits)
-    ctx = SpanContext(span=span, retrieved=[], selected=[hi], target=on_target(span))
+    ctx = span_context(span=span, retrieved=[], selected=[hi], target=on_target(span))
     edits, _ = executor.execute(ctx)
     assert edits == []
 
@@ -261,7 +266,7 @@ def test_frontier_rule_dominance():
     target = on_target(span)  # d_err = a_err = 0: dominates everything
     key = MemoryKey("pitch", "dispersion", "1.55-band", "mid")
 
-    ctx = SpanContext(span=span, retrieved=[], selected=[frontier_skill], target=target)
+    ctx = span_context(span=span, retrieved=[], selected=[frontier_skill], target=target)
     edits, _ = executor.execute(ctx)
     assert [e.op for e in edits] == ["INSERT"]
 
@@ -269,7 +274,7 @@ def test_frontier_rule_dominance():
         id=9, key=key, kind="frontier_point", statement="old point",
         direction=1, slope=0.0, observed={"d_err": 3.0, "a_err": 4.0},
     )
-    ctx = SpanContext(span=span, retrieved=[worse], selected=[frontier_skill], target=target)
+    ctx = span_context(span=span, retrieved=[worse], selected=[frontier_skill], target=target)
     edits, _ = executor.execute(ctx)
     assert [e.op for e in edits] == ["DELETE", "INSERT"]
     assert edits[0].target_id == 9
@@ -283,7 +288,7 @@ def test_frontier_rule_dominance():
         span.sim_after.loss_db_km + 0.01,
         span.sim_after.lambda_um,
     )
-    ctx = SpanContext(span=span, retrieved=[better], selected=[frontier_skill], target=far)
+    ctx = span_context(span=span, retrieved=[better], selected=[frontier_skill], target=far)
     edits, _ = executor.execute(ctx)
     assert edits == []  # dominated by the stored point
 
@@ -302,6 +307,6 @@ def test_unknown_template_raises():
         id="x_v1", name="X", action_type="INSERT", description="d",
         template_id="mystery", params={},
     )
-    ctx = SpanContext(span=span, retrieved=[], selected=[bogus], target=on_target(span))
+    ctx = span_context(span=span, retrieved=[], selected=[bogus], target=on_target(span))
     with pytest.raises(skills.SkillConfigError):
         executor.execute(ctx)

@@ -123,16 +123,20 @@ def test_gumbel_sampler_is_seed_deterministic():
     assert a == b
 
 
-def test_forward_vec_output_is_unit_or_zero():
+def test_forward_batch_output_is_unit_or_zero():
     params = policy.init_params(np.random.default_rng(9))
-    x = np.random.default_rng(10).normal(0.0, 1.0, policy.IN_DIM)
-    h, v = policy.forward_vec(params, x)
-    assert h.shape == (policy.HIDDEN,)
-    assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
-    assert isinstance(v, float)
+    x = np.random.default_rng(10).normal(0.0, 1.0, (3, policy.IN_DIM))
+    x[1] = 0.0  # zero biases map a zero row to t2 = 0, hence h = 0
+    fwd = policy.forward_batch(params, x)
+    assert fwd["h"].shape == (3, policy.HIDDEN)
+    assert fwd["v"].shape == (3,)
+    norms = np.linalg.norm(fwd["h"], axis=1)
+    assert norms[0] == pytest.approx(1.0, abs=1e-12)
+    assert norms[2] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(fwd["h"][1] == 0.0)
 
 
-def test_forward_vec_matches_numpy_reference_with_biases():
+def test_forward_batch_matches_numpy_reference_with_biases():
     # init_params zeroes every bias, so draw non-zero ones here
     rng = np.random.default_rng(4)
     params = {
@@ -143,23 +147,27 @@ def test_forward_vec_matches_numpy_reference_with_biases():
         "wv": rng.normal(0.0, 0.05, policy.HIDDEN),
         "bv": np.array([0.17]),
     }
-    x = rng.normal(0.0, 1.0, policy.IN_DIM)
-    h, v = policy.forward_vec(params, x)
-    t1_ref = np.tanh(x @ params["w1"] + params["b1"])
-    t2_ref = np.tanh(t1_ref @ params["w2"] + params["b2"])
-    assert np.allclose(h, t2_ref / np.linalg.norm(t2_ref), atol=1e-12)
-    assert v == pytest.approx(t2_ref @ params["wv"] + 0.17, abs=1e-12)
+    x = rng.normal(0.0, 1.0, (3, policy.IN_DIM))
+    fwd = policy.forward_batch(params, x)
+    for i in range(3):
+        t1_ref = np.tanh(x[i] @ params["w1"] + params["b1"])
+        t2_ref = np.tanh(t1_ref @ params["w2"] + params["b2"])
+        assert np.allclose(fwd["h"][i], t2_ref / np.linalg.norm(t2_ref), atol=1e-12)
+        assert fwd["v"][i] == pytest.approx(t2_ref @ params["wv"] + 0.17, abs=1e-12)
 
 
-def test_forward_batch_agrees_with_forward_vec():
+def test_encode_context_leaves_finished_slots_zero():
     params = policy.init_params(np.random.default_rng(11))
     rng = np.random.default_rng(12)
-    x = rng.normal(0.0, 1.0, (5, policy.IN_DIM))
-    cache = policy.forward_batch(params, x)
-    for i in range(5):
-        h, v = policy.forward_vec(params, x[i])
-        assert np.allclose(cache["h"][i], h, atol=1e-12)
-        assert cache["v"][i] == pytest.approx(v, abs=1e-12)
+    span_emb = rng.normal(0.0, 1.0, 256)
+    entries = [rng.normal(0.0, 1.0, 256) for _ in range(3)]
+    live = (span_emb, rng.normal(0.0, 1.0, 8), entries)
+    x, h, v = policy.encode_context(params, [None, live, None])
+    assert x.shape == (3, policy.IN_DIM)
+    assert np.all(x[[0, 2]] == 0.0)
+    assert np.array_equal(x[1], policy.build_context(*live))
+    fwd = policy.forward_batch(params, x)
+    assert np.array_equal(h, fwd["h"]) and np.array_equal(v, fwd["v"])
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -194,11 +202,11 @@ def test_clip_grads_scales_to_max_norm():
     grads["wv"][0] = 4.0
     norm = policy.clip_grads_(grads, max_norm=0.5)
     assert norm == pytest.approx(5.0)
-    assert policy.global_grad_norm(grads) == pytest.approx(0.5)
+    assert np.linalg.norm(policy.flat_view(grads)) == pytest.approx(0.5)
     # below the cap nothing changes
     norm2 = policy.clip_grads_(grads, max_norm=10.0)
     assert norm2 == pytest.approx(0.5)
-    assert policy.global_grad_norm(grads) == pytest.approx(0.5)
+    assert np.linalg.norm(policy.flat_view(grads)) == pytest.approx(0.5)
 
 
 def test_ppo_loss_reports_stats_and_nonfinite_guard():

@@ -12,11 +12,12 @@ def one_trace(small_corpus):
 
 
 def _run(trace, bank, params, mode, seed=0, top_k=2):
-    return rollout.run_episode(
-        trace, bank, params,
+    (ep,) = rollout.run_episode(
+        [trace], bank, params,
         rollout.FeatureCache(), k_retrieve=5, top_k=top_k,
-        mode=mode, rng=np.random.default_rng(seed),
+        mode=mode, rngs=[np.random.default_rng(seed)],
     )
+    return ep
 
 
 def test_episode_shape_and_reward_bounds(one_trace):
@@ -51,9 +52,9 @@ def test_greedy_mode_is_rng_free(one_trace):
     params = policy.init_params(np.random.default_rng(9))
     eps = [
         rollout.run_episode(
-            one_trace, bank, params, rollout.FeatureCache(),
-            k_retrieve=5, top_k=2, mode="greedy", rng=None,
-        )
+            [one_trace], bank, params, rollout.FeatureCache(),
+            k_retrieve=5, top_k=2, mode="greedy", rngs=[None],
+        )[0]
         for _ in range(2)
     ]
     acts = [[t.action for t in ep.transitions] for ep in eps]
@@ -85,9 +86,9 @@ def test_bias_steers_first_pick(one_trace):
     for want in range(len(bank.skills)):
         bias = np.zeros(len(bank.skills))
         bias[want] = 1e6
-        ep = rollout.run_episode(
-            one_trace, bank, params, rollout.FeatureCache(),
-            k_retrieve=5, top_k=1, mode="greedy", rng=None, bias=bias,
+        (ep,) = rollout.run_episode(
+            [one_trace], bank, params, rollout.FeatureCache(),
+            k_retrieve=5, top_k=1, mode="greedy", rngs=[None], bias=bias,
         )
         assert all(t.action[0] == want for t in ep.transitions)
 
@@ -135,3 +136,42 @@ def test_feature_cache_returns_identical_objects(one_trace):
     n2 = cache.span_numeric(one_trace, 0)
     assert n1 is n2
     assert n1.shape == (8,)
+
+
+@pytest.mark.parametrize("mode", ["sample", "greedy"])
+def test_episode_does_not_depend_on_its_neighbours_lengths(small_corpus, mode):
+    # slot 0 runs the same trace beside the shortest traces, then beside the
+    # longest: finished slots must not change the batch seen by live ones
+    traces = sorted(small_corpus["traces"], key=lambda t: (len(t.spans), t.id))
+    middle = traces[len(traces) // 2]
+    bank = skills.initial_bank()
+    params = policy.init_params(np.random.default_rng(9))
+    n = 8
+    runs = []
+    for neighbours in (traces[: n - 1], traces[-(n - 1):]):
+        rngs = [np.random.default_rng(100 + slot) for slot in range(n)]
+        eps = rollout.run_episode(
+            [middle, *neighbours], bank, params, rollout.FeatureCache(),
+            k_retrieve=5, top_k=2, mode=mode, rngs=rngs,
+        )
+        runs.append(eps[0])
+    assert len(traces[0].spans) < len(middle.spans) < len(traces[-1].spans)
+    a, b = runs
+    assert [t.action for t in a.transitions] == [t.action for t in b.transitions]
+    for ta, tb in zip(a.transitions, b.transitions):
+        assert ta.x.tobytes() == tb.x.tobytes()
+        assert ta.logprob == tb.logprob
+        assert ta.value == tb.value
+        assert ta.reward == tb.reward
+    assert memory.snapshot(a.mem_bank) == memory.snapshot(b.mem_bank)
+
+
+def test_transition_rows_are_copies(one_trace, small_corpus):
+    bank = skills.initial_bank()
+    params = policy.init_params(np.random.default_rng(9))
+    eps = rollout.run_episode(
+        [one_trace, small_corpus["traces"][1]], bank, params, rollout.FeatureCache(),
+        k_retrieve=5, top_k=2, mode="greedy", rngs=[None, None],
+    )
+    rows = [t.x for ep in eps for t in ep.transitions]
+    assert all(r.base is None for r in rows)
