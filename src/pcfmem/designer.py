@@ -9,7 +9,6 @@ queries.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -201,16 +200,8 @@ def cluster_failures(buf: FailureBuffer) -> list[FailureCluster]:
     return clusters
 
 
-def _stem_version(bank: skills.SkillBank, stem: str) -> int:
-    """Next free version number for a skill-id stem across active + retired."""
-    pat = re.compile(re.escape(stem) + r"_v(\d+)$")
-    best = 0
-    ids = [s.id for s in bank.skills] + [r["skill"]["id"] for r in bank.retired]
-    for sid in ids:
-        m = pat.match(sid)
-        if m:
-            best = max(best, int(m.group(1)))
-    return best + 1
+def _next_skill(bank: skills.SkillBank, name: str, epoch: int, theta=None) -> skills.Skill:
+    return skills.make_catalog_skill(name, skills.next_version(bank, name), epoch, theta)
 
 
 def _find_template(bank: skills.SkillBank, template_id: str) -> Optional[skills.Skill]:
@@ -230,17 +221,15 @@ def _change_for_cluster(
         cur = _find_template(bank, "update_trend")
         if cur is None or cur.params.get("regime_aware") or cur.id in pending_targets:
             return None
-        v = _stem_version(bank, "update_performance_trend")
         return skills.BankChange(
             op="replace",
             target_id=cur.id,
-            skill=skills.make_catalog_skill("regime_aware_update", v, epoch),
+            skill=_next_skill(bank, "regime_aware_update", epoch),
         )
     if ftype == "missing_constraint":
         if _find_template(bank, "insert_boundary") is not None:
             return None
-        v = _stem_version(bank, "insert_failure_boundary")
-        sk = skills.make_catalog_skill("failure_boundary_insert", v, epoch)
+        sk = _next_skill(bank, "failure_boundary_insert", epoch)
         if sk.id in pending_ids:
             return None
         return skills.BankChange(op="add", skill=sk)
@@ -250,29 +239,24 @@ def _change_for_cluster(
             return None
         if cur.id in pending_targets:
             return None
-        v = _stem_version(bank, "delete_invalid_assumption")
         return skills.BankChange(
             op="replace",
             target_id=cur.id,
-            skill=skills.make_catalog_skill("cross_verified_delete", v, epoch, theta=2),
+            skill=_next_skill(bank, "cross_verified_delete", epoch, theta=2),
         )
     if ftype == "spurious_memory":
         cur = _find_template(bank, "insert_param_map")
         if cur is not None and float(cur.params.get("theta_sig", 0.0)) < THETA_SIG_CAP:
             if cur.id in pending_targets:
                 return None
-            v = _stem_version(bank, "insert_topology_feature")
             theta = float(cur.params.get("theta_sig", 0.0)) + 0.5
             return skills.BankChange(
                 op="replace",
                 target_id=cur.id,
-                skill=skills.make_catalog_skill(
-                    "evidence_gated_insert", v, epoch, theta=theta
-                ),
+                skill=_next_skill(bank, "evidence_gated_insert", epoch, theta=theta),
             )
         if sum(1 for s in bank.skills if s.action_type == "NOOP") < 2:
-            v = _stem_version(bank, "skip")
-            sk = skills.make_catalog_skill("noise_threshold_skip", v, epoch, theta=0.5)
+            sk = _next_skill(bank, "noise_threshold_skip", epoch, theta=0.5)
             if sk.id in pending_ids:
                 return None
             return skills.BankChange(op="add", skill=sk)

@@ -80,15 +80,6 @@ def param_accuracy(pred_geom: Optional[dict], true_geom: dict) -> float:
     return hits / len(keys)
 
 
-def trend_accuracy(pred_signs: list[int], true_signs: list[int]) -> float:
-    if len(pred_signs) != len(true_signs):
-        raise ValueError("sign lists must be aligned")
-    if not true_signs:
-        return 0.0
-    hits = sum(1 for p, t in zip(pred_signs, true_signs) if p == t and p != 0)
-    return hits / len(true_signs)
-
-
 def success_quality(res: SimResult, spec: TargetSpec) -> tuple[bool, float]:
     ok = physics.verify(res, spec)
     q = 1.0 - 0.5 * (

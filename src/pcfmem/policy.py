@@ -339,10 +339,9 @@ def ppo_loss_and_grads(
     return loss, grads, stats
 
 
-def clip_grads_(grads: dict, max_norm: float) -> float:
-    """Scale the gradients in place to a global L2 norm of at most max_norm;
-    returns the norm before scaling."""
-    flat = flat_view(grads)
+def clip_grads_(flat: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient vector in place to an L2 norm of at most
+    max_norm; returns the norm before scaling."""
     norm = math.sqrt(float(np.dot(flat, flat)))
     if norm > max_norm and norm > 0.0:
         flat *= max_norm / norm

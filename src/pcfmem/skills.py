@@ -1,14 +1,17 @@
 """Versioned skill bank: four base primitives plus an evolution catalog.
 
 Each skill pairs a controller-facing description with a template id that the
-rule-based executor dispatches on, plus named threshold parameters. Mutation
-is retire+add, so a newly introduced skill always carries the outer epoch it
-appeared in (this drives the exploration bias).
+rule-based executor dispatches on, plus named threshold parameters. Seed and
+catalog skills are rows of one recipe table built by one constructor, which
+alone forms the `<stem>_v<version>` ids. Mutation is retire+add, so a newly
+introduced skill always carries the outer epoch it appeared in (this drives
+the exploration bias).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 ACTION_TYPES = ("INSERT", "UPDATE", "DELETE", "NOOP")
@@ -126,213 +129,175 @@ def bank_from_json(text: str) -> SkillBank:
     return bank_from_dict(json.loads(text))
 
 
+@dataclass(frozen=True)
+class _Recipe:
+    """One row of the skill table; `theta` names the param a caller may set."""
+
+    stem: str
+    template_id: str
+    description: str
+    params: dict
+    theta: str | None = None
+
+
+def _skill(recipe: _Recipe, version: int, epoch: int, theta=None) -> Skill:
+    """The one constructor: every id is `<stem>_v<version>`."""
+    params = dict(recipe.params)
+    if theta is not None:
+        if recipe.theta is None:
+            raise SkillConfigError(f"{recipe.stem} has no theta parameter")
+        params[recipe.theta] = theta
+    skill = Skill(
+        id=f"{recipe.stem}_v{version}",
+        name="".join(w.capitalize() for w in recipe.stem.split("_")),
+        action_type=TEMPLATES[recipe.template_id][0],
+        description=recipe.description,
+        template_id=recipe.template_id,
+        params=params,
+        version=version,
+        introduced_epoch=epoch,
+    )
+    validate_skill(skill)
+    return skill
+
+
+_SEED = (
+    _Recipe(
+        "insert_topology_feature",
+        "insert_param_map",
+        "insert a new parameter to property mapping from this step: "
+        "record the direction and slope of the dispersion loss or "
+        "n_eff change when pitch hole_d or n_rings moves, with "
+        "wavelength band and fill regime context",
+        {"theta_sig": 0.0, "lambda_scoped": 0},
+    ),
+    _Recipe(
+        "update_performance_trend",
+        "update_trend",
+        "update an existing trend entry with fresh evidence: on "
+        "agreement reinforce support refine the slope estimate and "
+        "raise confidence, on disagreement halve confidence",
+        {"regime_aware": 0, "conf_calibrated": 0},
+    ),
+    _Recipe(
+        "delete_invalid_assumption",
+        "delete_invalid",
+        "delete an invalid assumption: archive a stored trend whose "
+        "claimed direction is contradicted by the observed change",
+        {"theta_del": 1, "rollback_safe": 0},
+    ),
+    _Recipe(
+        "skip",
+        "skip_span",
+        "skip this step: the change is small noise and no memory "
+        "update is needed",
+        {"theta_noise": 1.0},
+    ),
+)
+
+
 def initial_bank() -> SkillBank:
-    skills = [
-        Skill(
-            id="insert_topology_feature_v1",
-            name="InsertTopologyFeature",
-            action_type="INSERT",
-            description=(
-                "insert a new parameter to property mapping from this step: "
-                "record the direction and slope of the dispersion loss or "
-                "n_eff change when pitch hole_d or n_rings moves, with "
-                "wavelength band and fill regime context"
-            ),
-            template_id="insert_param_map",
-            params={"theta_sig": 0.0, "lambda_scoped": 0},
-        ),
-        Skill(
-            id="update_performance_trend_v1",
-            name="UpdatePerformanceTrend",
-            action_type="UPDATE",
-            description=(
-                "update an existing trend entry with fresh evidence: on "
-                "agreement reinforce support refine the slope estimate and "
-                "raise confidence, on disagreement halve confidence"
-            ),
-            template_id="update_trend",
-            params={"regime_aware": 0, "conf_calibrated": 0},
-        ),
-        Skill(
-            id="delete_invalid_assumption_v1",
-            name="DeleteInvalidAssumption",
-            action_type="DELETE",
-            description=(
-                "delete an invalid assumption: archive a stored trend whose "
-                "claimed direction is contradicted by the observed change"
-            ),
-            template_id="delete_invalid",
-            params={"theta_del": 1, "rollback_safe": 0},
-        ),
-        Skill(
-            id="skip_v1",
-            name="Skip",
-            action_type="NOOP",
-            description=(
-                "skip this step: the change is small noise and no memory "
-                "update is needed"
-            ),
-            template_id="skip_span",
-            params={"theta_noise": 1.0},
-        ),
-    ]
-    for s in skills:
-        validate_skill(s)
-    return SkillBank(skills=skills, bank_version=0)
+    return SkillBank(skills=[_skill(r, 1, 0) for r in _SEED], bank_version=0)
 
 
 # Evolution catalog: ten parameterized refinements the designer picks from.
-# Factories take (version, epoch) so replacement ids stay unique.
-
-
-def _catalog_entries() -> dict:
-    return {
-        "evidence_gated_insert": lambda v, e, theta=0.5: Skill(
-            id=f"insert_topology_feature_v{v}",
-            name="InsertTopologyFeature",
-            action_type="INSERT",
-            description=(
-                "insert a mapping only when the normalized metric change is "
-                "significant beyond the evidence threshold, avoiding weak "
-                "noisy entries"
-            ),
-            template_id="insert_param_map",
-            params={"theta_sig": theta, "lambda_scoped": 0},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "wavelength_scoped_insert": lambda v, e: Skill(
-            id=f"insert_topology_feature_v{v}",
-            name="InsertTopologyFeature",
-            action_type="INSERT",
-            description=(
-                "insert a mapping bound to its wavelength band so trends "
-                "near 1.31 and 1.55 um stay separate"
-            ),
-            template_id="insert_param_map",
-            params={"theta_sig": 0.0, "lambda_scoped": 1},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "regime_aware_update": lambda v, e: Skill(
-            id=f"update_performance_trend_v{v}",
-            name="UpdatePerformanceTrend",
-            action_type="UPDATE",
-            description=(
-                "update trends per fill regime: on disagreement across d "
-                "over pitch regimes split the entry by regime instead of "
-                "halving confidence"
-            ),
-            template_id="update_trend",
-            params={"regime_aware": 1, "conf_calibrated": 0},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "confidence_calibrated_update": lambda v, e: Skill(
-            id=f"update_performance_trend_v{v}",
-            name="UpdatePerformanceTrend",
-            action_type="UPDATE",
-            description=(
-                "update trend confidence calibrated by support count and "
-                "evidence spread rather than a fixed ladder"
-            ),
-            template_id="update_trend",
-            params={"regime_aware": 0, "conf_calibrated": 1},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "cross_verified_delete": lambda v, e, theta=2: Skill(
-            id=f"delete_invalid_assumption_v{v}",
-            name="DeleteInvalidAssumption",
-            action_type="DELETE",
-            description=(
-                "delete only after repeated cross verified contradictions "
-                "so a single noisy step cannot erase knowledge"
-            ),
-            template_id="delete_invalid",
-            params={"theta_del": theta, "rollback_safe": 0},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "rollback_safe_delete": lambda v, e: Skill(
-            id=f"delete_invalid_assumption_v{v}",
-            name="DeleteInvalidAssumption",
-            action_type="DELETE",
-            description=(
-                "archive entries reversibly keeping the deletion reason so "
-                "removals can be audited and undone"
-            ),
-            template_id="delete_invalid",
-            params={"theta_del": 1, "rollback_safe": 1},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "noise_threshold_skip": lambda v, e, theta=1.0: Skill(
-            id=f"skip_v{v}",
-            name="Skip",
-            action_type="NOOP",
-            description=(
-                "skip steps whose tolerance normalized metric change is "
-                "within the calibrated noise threshold"
-            ),
-            template_id="skip_span",
-            params={"theta_noise": theta},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "failure_boundary_insert": lambda v, e: Skill(
-            id=f"insert_failure_boundary_v{v}",
-            name="InsertFailureBoundary",
-            action_type="INSERT",
-            description=(
-                "insert an explicit failure boundary when the step leaves "
-                "the target tolerance band or hits a geometry bound, "
-                "recording the violated interval"
-            ),
-            template_id="insert_boundary",
-            params={},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "sensitivity_hotspot_insert": lambda v, e, theta=25.0: Skill(
-            id=f"insert_sensitivity_hotspot_v{v}",
-            name="InsertSensitivityHotspot",
-            action_type="INSERT",
-            description=(
-                "mark a high sensitivity hotspot when the local slope is "
-                "unusually steep, advising smaller moves nearby"
-            ),
-            template_id="insert_hotspot",
-            params={"theta_hot": theta},
-            version=v,
-            introduced_epoch=e,
-        ),
-        "tradeoff_frontier_update": lambda v, e: Skill(
-            id=f"update_tradeoff_frontier_v{v}",
-            name="UpdateTradeoffFrontier",
-            action_type="UPDATE",
-            description=(
-                "keep a trade off frontier of non dominated dispersion "
-                "error loss error points and archive dominated points"
-            ),
-            template_id="update_frontier",
-            params={},
-            version=v,
-            introduced_epoch=e,
-        ),
-    }
-
-
-CATALOG = _catalog_entries()
+CATALOG = {
+    "evidence_gated_insert": _Recipe(
+        "insert_topology_feature",
+        "insert_param_map",
+        "insert a mapping only when the normalized metric change is "
+        "significant beyond the evidence threshold, avoiding weak "
+        "noisy entries",
+        {"theta_sig": 0.5, "lambda_scoped": 0},
+        theta="theta_sig",
+    ),
+    "wavelength_scoped_insert": _Recipe(
+        "insert_topology_feature",
+        "insert_param_map",
+        "insert a mapping bound to its wavelength band so trends "
+        "near 1.31 and 1.55 um stay separate",
+        {"theta_sig": 0.0, "lambda_scoped": 1},
+    ),
+    "regime_aware_update": _Recipe(
+        "update_performance_trend",
+        "update_trend",
+        "update trends per fill regime: on disagreement across d "
+        "over pitch regimes split the entry by regime instead of "
+        "halving confidence",
+        {"regime_aware": 1, "conf_calibrated": 0},
+    ),
+    "confidence_calibrated_update": _Recipe(
+        "update_performance_trend",
+        "update_trend",
+        "update trend confidence calibrated by support count and "
+        "evidence spread rather than a fixed ladder",
+        {"regime_aware": 0, "conf_calibrated": 1},
+    ),
+    "cross_verified_delete": _Recipe(
+        "delete_invalid_assumption",
+        "delete_invalid",
+        "delete only after repeated cross verified contradictions "
+        "so a single noisy step cannot erase knowledge",
+        {"theta_del": 2, "rollback_safe": 0},
+        theta="theta_del",
+    ),
+    "rollback_safe_delete": _Recipe(
+        "delete_invalid_assumption",
+        "delete_invalid",
+        "archive entries reversibly keeping the deletion reason so "
+        "removals can be audited and undone",
+        {"theta_del": 1, "rollback_safe": 1},
+    ),
+    "noise_threshold_skip": _Recipe(
+        "skip",
+        "skip_span",
+        "skip steps whose tolerance normalized metric change is "
+        "within the calibrated noise threshold",
+        {"theta_noise": 1.0},
+        theta="theta_noise",
+    ),
+    "failure_boundary_insert": _Recipe(
+        "insert_failure_boundary",
+        "insert_boundary",
+        "insert an explicit failure boundary when the step leaves "
+        "the target tolerance band or hits a geometry bound, "
+        "recording the violated interval",
+        {},
+    ),
+    "sensitivity_hotspot_insert": _Recipe(
+        "insert_sensitivity_hotspot",
+        "insert_hotspot",
+        "mark a high sensitivity hotspot when the local slope is "
+        "unusually steep, advising smaller moves nearby",
+        {"theta_hot": 25.0},
+        theta="theta_hot",
+    ),
+    "tradeoff_frontier_update": _Recipe(
+        "update_tradeoff_frontier",
+        "update_frontier",
+        "keep a trade off frontier of non dominated dispersion "
+        "error loss error points and archive dominated points",
+        {},
+    ),
+}
 CATALOG_NAMES = tuple(sorted(CATALOG))
 
 
-def make_catalog_skill(name: str, version: int, epoch: int, **kw) -> Skill:
+def _recipe(name: str) -> _Recipe:
     if name not in CATALOG:
         raise SkillConfigError(f"unknown catalog template {name!r}")
-    skill = CATALOG[name](version, epoch, **kw)
-    validate_skill(skill)
-    return skill
+    return CATALOG[name]
+
+
+def make_catalog_skill(name: str, version: int, epoch: int, theta=None) -> Skill:
+    return _skill(_recipe(name), version, epoch, theta)
+
+
+def next_version(bank: SkillBank, name: str) -> int:
+    """Next free version of the catalog entry's id stem, counting retired ids."""
+    pat = re.compile(re.escape(_recipe(name).stem) + r"_v(\d+)$")
+    ids = bank.ids() + [r["skill"]["id"] for r in bank.retired]
+    return 1 + max((int(m.group(1)) for m in map(pat.match, ids) if m), default=0)
 
 
 @dataclass
@@ -343,39 +308,30 @@ class BankChange:
 
 
 def mutate(bank: SkillBank, changes: list[BankChange]) -> SkillBank:
-    """Return a new bank (version+1) with changes applied; input untouched."""
+    """Return a new bank (version+1) with changes applied; input untouched.
+
+    A replace is a retire of target_id followed by an add of skill.
+    """
     skills = list(bank.skills)
     retired = list(bank.retired)
     for ch in changes:
-        if ch.op == "add":
+        if ch.op not in ("add", "retire", "replace"):
+            raise SkillConfigError(f"unknown change op {ch.op!r}")
+        if ch.op != "add":
+            match = [s for s in skills if s.id == ch.target_id]
+            if not match:
+                raise SkillConfigError(f"{ch.op}: no skill {ch.target_id}")
+            skills = [s for s in skills if s.id != ch.target_id]
+            retired.append(
+                {"skill": match[0].as_dict(), "retired_at_version": bank.bank_version + 1}
+            )
+        if ch.op != "retire":
             if ch.skill is None:
-                raise SkillConfigError("add without a skill")
+                raise SkillConfigError(f"{ch.op} without a skill")
             validate_skill(ch.skill)
             if any(s.id == ch.skill.id for s in skills):
                 raise SkillConfigError(f"duplicate skill id {ch.skill.id}")
             skills.append(ch.skill)
-        elif ch.op == "retire":
-            match = [s for s in skills if s.id == ch.target_id]
-            if not match:
-                raise SkillConfigError(f"retire: no skill {ch.target_id}")
-            skills = [s for s in skills if s.id != ch.target_id]
-            retired.append(
-                {"skill": match[0].as_dict(), "retired_at_version": bank.bank_version + 1}
-            )
-        elif ch.op == "replace":
-            if ch.skill is None or ch.target_id is None:
-                raise SkillConfigError("replace needs target_id and skill")
-            match = [s for s in skills if s.id == ch.target_id]
-            if not match:
-                raise SkillConfigError(f"replace: no skill {ch.target_id}")
-            validate_skill(ch.skill)
-            skills = [s for s in skills if s.id != ch.target_id]
-            retired.append(
-                {"skill": match[0].as_dict(), "retired_at_version": bank.bank_version + 1}
-            )
-            skills.append(ch.skill)
-        else:
-            raise SkillConfigError(f"unknown change op {ch.op!r}")
     if not skills:
         raise SkillConfigError("mutation would empty the bank")
     if not any(s.action_type == "NOOP" for s in skills):

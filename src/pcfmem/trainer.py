@@ -107,24 +107,17 @@ class AdamW:
         self.v = np.zeros(policy.N_PARAMS)
         self._a = np.empty(ADAM_BLOCK)
         self._b = np.empty(ADAM_BLOCK)
-        # the (params, grads) trees last stepped and their flat vectors
-        self._trees: tuple = (None, None)
-        self._flat: tuple = ()
 
-    def step(self, params: dict, grads: dict) -> None:
-        """One in-place pass over the flat vectors of params and grads.
+    def step(self, p_all: np.ndarray, g_all: np.ndarray) -> None:
+        """One in-place pass over the flat parameter and gradient vectors
+        (`policy.flat_view` of the trees).
 
         The operations and their order are those of the textbook update
             m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
             p = p - lr (m_hat / (sqrt(v_hat) + eps) + wd p),
         so the result is bitwise equal to evaluating it array by array. They
         run block by block, so each block stays in cache for all of them.
-        The flat layout of the trees is checked when a new pair is stepped.
         """
-        if self._trees[0] is not params or self._trees[1] is not grads:
-            self._flat = (policy.flat_view(params), policy.flat_view(grads))
-            self._trees = (params, grads)
-        p_all, g_all = self._flat
         self.t += 1
         c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
         for s in range(0, policy.N_PARAMS, ADAM_BLOCK):
@@ -176,8 +169,9 @@ def ppo_update(
             f"with bias {bias.shape}"
         )
     flat = policy.flat_view(params)
-    # one gradient tree, rewritten by every minibatch
+    # one gradient tree, rewritten by every minibatch, and its flat vector
     grads = policy.zero_grads()
+    g_flat = policy.flat_view(grads)
     # "skipped" is always 0, since a non-finite minibatch raises; the key stays
     # in results.json for its readers
     stats_acc: dict = {"updates": 0, "skipped": 0}
@@ -198,8 +192,8 @@ def ppo_update(
             _, _, stats = policy.ppo_loss_and_grads(
                 params, batch, cfg.clip, cfg.value_coef, cfg.entropy_coef, grads
             )
-            policy.clip_grads_(grads, cfg.grad_clip)
-            opt.step(params, grads)
+            policy.clip_grads_(g_flat, cfg.grad_clip)
+            opt.step(flat, g_flat)
             if not np.isfinite(flat).all():
                 raise policy.NumericError("non-finite policy parameter after a PPO step")
             stats_acc["updates"] += 1
@@ -329,9 +323,8 @@ def j_val(
     mode: str = "greedy",
     master_seed: int = 0,
 ) -> float:
-    """Mean episode R_final over the fixed validation subset (greedy policy)."""
-    if not val_traces:
-        return 0.0
+    """Mean episode R_final over the fixed, non-empty validation subset
+    (greedy policy)."""
     played = evalsuite.play_traces(
         val_traces, bank, params, cache, mode, master_seed,
         [(13, i) for i in range(len(val_traces))], queries_by_trace, counter,
@@ -363,6 +356,11 @@ def run_closed_loop(
         cfg.beta = 1.0
     use_bias = ablation != "wo_new_action_bias"
     mode = "random" if ablation == "wo_controller" else "sample"
+    gate_mode = "random" if mode == "random" else "greedy"
+    for name in ("train", "val"):
+        # the designer gate needs val traces to compare a candidate against
+        if not splits[name]:
+            raise ValueError(f"split {name!r} is empty")
 
     queries_by_trace: dict[str, list[Query]] = {}
     for q in queries:
@@ -433,15 +431,12 @@ def run_closed_loop(
                 bank, clusters, epoch=outer + 1, max_skills=cfg.max_skills
             )
             candidate = skills.mutate(bank, changes)
-            j_before = j_val(
-                bank, params, val_traces, queries_by_trace, cfg,
-                val_counter, cache, mode="random" if mode == "random" else "greedy",
-                master_seed=master_seed,
-            )
-            j_after = j_val(
-                candidate, params, val_traces, queries_by_trace, cfg,
-                val_counter, cache, mode="random" if mode == "random" else "greedy",
-                master_seed=master_seed,
+            j_before, j_after = (
+                j_val(
+                    b, params, val_traces, queries_by_trace, cfg,
+                    val_counter, cache, gate_mode, master_seed,
+                )
+                for b in (bank, candidate)
             )
             accepted = j_after - j_before >= 0.0
             if accepted:

@@ -232,16 +232,6 @@ def test_change_mapping_spurious_escalates_then_adds_skip():
     assert designer._change_for_cluster(bank, "spurious_memory", 3, []) is None
 
 
-def test_stem_version_counts_retired_ids():
-    bank = skills.initial_bank()
-    assert designer._stem_version(bank, "update_performance_trend") == 2
-    ch = designer._change_for_cluster(bank, "wrong_trend", 1, [])
-    bank2 = skills.mutate(bank, [ch])
-    # v1 now sits in the retired ledger, v2 is active
-    assert designer._stem_version(bank2, "update_performance_trend") == 3
-    assert designer._stem_version(bank, "never_seen_stem") == 1
-
-
 def test_propose_changes_respects_top_clusters_and_cap():
     bank = skills.initial_bank()
     clusters = [

@@ -43,15 +43,6 @@ def test_param_accuracy_strict_band():
     assert evalsuite.param_accuracy(None, truth) == 0.0
 
 
-def test_trend_accuracy():
-    # an abstaining prediction (0) never scores, even against a flat truth
-    assert evalsuite.trend_accuracy([1, -1, 0], [1, 1, 0]) == pytest.approx(1 / 3)
-    assert evalsuite.trend_accuracy([1, -1], [1, -1]) == 1.0
-    assert evalsuite.trend_accuracy([], []) == 0.0
-    with pytest.raises(ValueError):
-        evalsuite.trend_accuracy([1], [1, -1])
-
-
 def test_success_quality():
     target = TargetSpec(50.0, 0.02, LAM)
     res_half = SimResult(

@@ -180,7 +180,9 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded[k], params[k])
     # the loaded arrays are views of one flat vector, which the optimizer takes
     assert np.array_equal(policy.flat_view(loaded), policy.flat_view(params))
-    trainer.AdamW(lr=1e-3, weight_decay=0.01).step(loaded, policy.zero_grads())
+    trainer.AdamW(lr=1e-3, weight_decay=0.01).step(
+        policy.flat_view(loaded), policy.flat_view(policy.zero_grads())
+    )
 
 
 def test_checkpoint_version_guard(tmp_path):
@@ -200,11 +202,11 @@ def test_clip_grads_scales_to_max_norm():
     grads = policy.zero_grads()
     grads["w1"][0, 0] = 3.0
     grads["wv"][0] = 4.0
-    norm = policy.clip_grads_(grads, max_norm=0.5)
+    norm = policy.clip_grads_(policy.flat_view(grads), max_norm=0.5)
     assert norm == pytest.approx(5.0)
     assert np.linalg.norm(policy.flat_view(grads)) == pytest.approx(0.5)
     # below the cap nothing changes
-    norm2 = policy.clip_grads_(grads, max_norm=10.0)
+    norm2 = policy.clip_grads_(policy.flat_view(grads), max_norm=10.0)
     assert norm2 == pytest.approx(0.5)
     assert np.linalg.norm(policy.flat_view(grads)) == pytest.approx(0.5)
 

@@ -1,8 +1,11 @@
 """Skill bank invariants: templates, validation, guarded mutation."""
 
+import hashlib
+import json
+
 import pytest
 
-from pcfmem import skills
+from pcfmem import designer, skills
 from pcfmem.skills import BankChange, Skill, SkillConfigError
 
 
@@ -71,6 +74,34 @@ def test_catalog_constructs_valid_skills():
         assert sk.introduced_epoch == 2
     with pytest.raises(SkillConfigError):
         skills.make_catalog_skill("nonexistent", 1, 0)
+    with pytest.raises(SkillConfigError):
+        skills.make_catalog_skill("failure_boundary_insert", 1, 0, theta=1.0)
+
+
+def test_seed_and_catalog_skills_keep_their_recorded_bytes():
+    # digest recorded before the seed skills and the catalog shared one table
+    h = hashlib.sha256()
+    for name in skills.CATALOG_NAMES:
+        for version, epoch in ((1, 0), (3, 2)):
+            sk = skills.make_catalog_skill(name, version, epoch)
+            h.update(json.dumps(sk.as_dict(), sort_keys=True).encode())
+    h.update(json.dumps(skills.initial_bank().as_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "042b6fa259992cae23e219fb00293e29649a0a8f0372052c4373ad14c8c5abcd"
+    )
+
+
+def test_next_version_counts_retired_ids():
+    bank = skills.initial_bank()
+    assert skills.next_version(bank, "regime_aware_update") == 2
+    ch = designer._change_for_cluster(bank, "wrong_trend", 1, [])
+    bank2 = skills.mutate(bank, [ch])
+    # v1 now sits in the retired ledger, v2 is active
+    assert skills.next_version(bank2, "regime_aware_update") == 3
+    # a catalog entry whose stem the bank has never held starts at 1
+    assert skills.next_version(bank, "failure_boundary_insert") == 1
+    with pytest.raises(SkillConfigError):
+        skills.next_version(bank, "nonexistent")
 
 
 def test_mutate_add_retire_replace():
@@ -109,6 +140,14 @@ def test_mutate_guards():
         skills.mutate(bank, [BankChange(op="replace", target_id="skip_v1", skill=None)])
     with pytest.raises(SkillConfigError):
         skills.mutate(bank, [BankChange(op="frobnicate")])
+    # a replace must not bring in an id the bank already holds, or the bank
+    # would be one that bank_from_json rejects
+    clash = skills.make_catalog_skill("evidence_gated_insert", 1, 1)
+    with pytest.raises(SkillConfigError, match="duplicate"):
+        skills.mutate(
+            bank,
+            [BankChange(op="replace", target_id="update_performance_trend_v1", skill=clash)],
+        )
     # retiring the only NOOP skill must fail
     with pytest.raises(SkillConfigError):
         skills.mutate(bank, [BankChange(op="retire", target_id="skip_v1")])

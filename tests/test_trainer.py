@@ -94,7 +94,7 @@ def test_adamw_decouples_weight_decay():
     params = policy.init_params(np.random.default_rng(23))
     before = {k: params[k].copy() for k in policy.PARAM_KEYS}
     opt = AdamW(lr=0.1, weight_decay=0.01)
-    opt.step(params, policy.zero_grads())
+    opt.step(policy.flat_view(params), policy.flat_view(policy.zero_grads()))
     for k in policy.PARAM_KEYS:
         assert np.allclose(params[k], before[k] * (1.0 - 0.1 * 0.01), atol=1e-15)
 
@@ -105,7 +105,7 @@ def test_adamw_first_step_magnitude():
     grads = policy.zero_grads()
     grads["wv"][:] = 0.7
     opt = AdamW(lr=1e-3, weight_decay=0.0)
-    opt.step(params, grads)
+    opt.step(policy.flat_view(params), policy.flat_view(grads))
     assert np.allclose(params["wv"], -1e-3, atol=1e-9)
     assert np.all(params["w1"] == 0.0)
 
@@ -121,7 +121,7 @@ def test_flat_adamw_is_bitwise_equal_to_the_per_key_formula():
     for t in range(1, 21):
         grads = policy.zero_grads()
         policy.flat_view(grads)[:] = rng.normal(0.0, 0.1, policy.N_PARAMS)
-        opt.step(params, grads)
+        opt.step(policy.flat_view(params), policy.flat_view(grads))
         for k in policy.PARAM_KEYS:
             g = grads[k]
             m[k] = b1 * m[k] + (1 - b1) * g
@@ -130,13 +130,6 @@ def test_flat_adamw_is_bitwise_equal_to_the_per_key_formula():
             vhat = v[k] / (1 - b2**t)
             ref[k] = ref[k] - lr * (mhat / (np.sqrt(vhat) + eps) + wd * ref[k])
             assert np.array_equal(params[k], ref[k]), (t, k)
-
-
-def test_adamw_takes_only_flat_trees():
-    params = policy.init_params(np.random.default_rng(26))
-    separate = {k: a.copy() for k, a in params.items()}
-    with pytest.raises(TypeError):
-        AdamW(lr=1e-3, weight_decay=0.0).step(separate, policy.zero_grads())
 
 
 def _toy_transitions(rng, n, n_sk, k):
@@ -207,6 +200,15 @@ def test_run_closed_loop_rejects_unknown_ablation(small_corpus, traces_by_id):
             traces_by_id, small_corpus["queries"], small_corpus["splits"],
             cfg, 0, ablation="wo_everything",
         )
+
+
+@pytest.mark.parametrize("empty", ["train", "val"])
+def test_run_closed_loop_rejects_an_empty_split(small_corpus, traces_by_id, empty):
+    # with no val traces the designer gate would have nothing to compare
+    cfg = PPOConfig(inner_epochs=1, outer_epochs=1, batch=2)
+    splits = {**small_corpus["splits"], empty: []}
+    with pytest.raises(ValueError, match=repr(empty)):
+        trainer.run_closed_loop(traces_by_id, small_corpus["queries"], splits, cfg, 0)
 
 
 def test_tiny_closed_loop_report_shape(small_corpus, traces_by_id):
