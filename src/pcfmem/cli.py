@@ -150,6 +150,32 @@ def _load_corpus(data_dir: str):
     return by_id, queries, splits
 
 
+def _read_results(out: str) -> dict:
+    """The ``results.json`` in ``out``, or {} when there is none."""
+    path = os.path.join(out, "results.json")
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        results = json.load(fh)
+    if not isinstance(results, dict):
+        raise CorpusFormatError(f"{path} must hold a JSON object")
+    return results
+
+
+def _check_run_ablation(cfg: RunConfig, out: str) -> None:
+    """Refuse to mix two ablations' outputs in one run directory.
+
+    Otherwise a second evolve would replace the bank and results of the
+    first but keep its checkpoint, and eval would score a mixed run.
+    """
+    found = _read_results(out).get("ablation", cfg.ablation)
+    if found != cfg.ablation:
+        raise CorpusFormatError(
+            f"{os.path.join(out, 'results.json')} holds the run of ablation {found!r}, "
+            f"not {cfg.ablation!r}; use another --out"
+        )
+
+
 def _split_queries(queries, trace_ids) -> list:
     ids = set(trace_ids)
     return [q for q in queries if q.trace_ids[0] in ids]
@@ -185,6 +211,7 @@ def cmd_gen_data(cfg: RunConfig, out: str) -> int:
 
 
 def _run_loop(cfg: RunConfig, out: str, evolve: bool) -> int:
+    _check_run_ablation(cfg, out)
     data_dir = cfg.data_dir or out
     traces_by_id, queries, splits = _load_corpus(data_dir)
     ppo = cfg.ppo()
@@ -219,6 +246,7 @@ def _run_loop(cfg: RunConfig, out: str, evolve: bool) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: str) -> int:
+    _check_run_ablation(cfg, out)
     data_dir = cfg.data_dir or out
     traces_by_id, queries, splits = _load_corpus(data_dir)
     test_traces = [traces_by_id[i] for i in splits["test"]]
@@ -305,14 +333,8 @@ def cmd_report(out: str) -> int:
     rows.sort(key=lambda r: r["method"])
     merged = {"table": rows, "missing_metrics": list(evalsuite.MISSING_METRICS)}
     # keep the training report that evolve/train wrote into the same file
-    results_path = os.path.join(out, "results.json")
-    results = {}
-    if os.path.exists(results_path):
-        with open(results_path, encoding="utf-8") as fh:
-            results = json.load(fh)
-        if not isinstance(results, dict):
-            raise CorpusFormatError(f"{results_path} must hold a JSON object")
-    _write_json(results_path, {**results, **merged})
+    results = _read_results(out)
+    _write_json(os.path.join(out, "results.json"), {**results, **merged})
     with open(os.path.join(out, "results.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()

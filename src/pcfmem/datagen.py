@@ -98,17 +98,8 @@ def span_from_dict(d: dict) -> Span:
         new_value=float(d["edit"]["new_value"]),
         geom_before=physics.geometry_from_dict(d["geom_before"]),
         geom_after=physics.geometry_from_dict(d["geom_after"]),
-        sim_before=_sim_from_dict(d["sim_before"]),
-        sim_after=_sim_from_dict(d["sim_after"]),
-    )
-
-
-def _sim_from_dict(d: dict) -> SimResult:
-    return SimResult(
-        n_eff=float(d["n_eff"]),
-        dispersion_ps_nm_km=float(d["dispersion_ps_nm_km"]),
-        loss_db_km=float(d["loss_db_km"]),
-        lambda_um=float(d["lambda_um"]),
+        sim_before=physics.sim_from_dict(d["sim_before"]),
+        sim_after=physics.sim_from_dict(d["sim_after"]),
     )
 
 

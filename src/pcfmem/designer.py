@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import memory, physics, skills
-from .physics import CallCounter, Geometry
+from .physics import CallCounter
 
 FAILURE_ORDER = (
     "wrong_trend",
@@ -31,12 +31,6 @@ THETA_SIG_CAP = 2.0
 
 @dataclass
 class FailureCase:
-    trace_id: str
-    query_id: str
-    proposed: dict
-    retrieved: list[dict]
-    sim: dict
-    target: dict
     failure_type: str
     regime: str
     difficulty: float  # normalized miss, >= 1 for any verify failure
@@ -68,9 +62,7 @@ def classify_failure(
     wrong_trend probes the env's finite-difference sign at the proposal and
     charges the probe calls to the given (designer-phase) counter.
     """
-    geom = Geometry(
-        float(proposal["pitch_um"]), float(proposal["hole_d_um"]), int(proposal["n_rings"])
-    )
+    geom = physics.geometry_from_dict(proposal)
     lam = float(target["lambda_um"])
     for e in retrieved:
         if e.get("kind") not in ("trend", "param_map"):
@@ -118,13 +110,7 @@ def classify_planted(entry: dict, bank: memory.MemoryBank) -> str:
     geom = entry.get("geom") or {}
     if geom:
         try:
-            physics.validate_geometry(
-                Geometry(
-                    float(geom["pitch_um"]),
-                    float(geom["hole_d_um"]),
-                    int(geom["n_rings"]),
-                )
-            )
+            physics.validate_geometry(physics.geometry_from_dict(geom))
         except (physics.InvalidGeometry, KeyError, ValueError):
             return "missing_constraint"
     if int(entry.get("contradictions", 0)) >= 2:
@@ -135,8 +121,8 @@ def classify_planted(entry: dict, bank: memory.MemoryBank) -> str:
 def collect_failures(query_records: list[dict], counter: CallCounter) -> FailureBuffer:
     """Harvest failed design verifications from rollout query records.
 
-    Each record needs: trace_id, query_id, qtype, passed, proposal, sim,
-    target, retrieved (list of entry dicts, citation order).
+    Each record needs: qtype, passed, proposal, sim, target, retrieved (list
+    of entry dicts, citation order).
     """
     buf = FailureBuffer()
     for rec in query_records:
@@ -147,27 +133,12 @@ def collect_failures(query_records: list[dict], counter: CallCounter) -> Failure
         if proposal is None or sim is None:
             continue
         target = rec["target"]
-        d_err = abs(sim["dispersion_ps_nm_km"] - target["dispersion_ps_nm_km"]) / target[
-            "tol_dispersion"
-        ]
-        a_err = abs(sim["loss_db_km"] - target["loss_db_km"]) / target["tol_loss"]
-        difficulty = max(d_err, a_err)
-        retrieved = rec.get("retrieved", [])
-        ftype = classify_failure(proposal, retrieved, target, counter)
-        dratio = proposal["hole_d_um"] / proposal["pitch_um"]
-        buf.add(
-            FailureCase(
-                trace_id=rec["trace_id"],
-                query_id=rec["query_id"],
-                proposed=proposal,
-                retrieved=retrieved,
-                sim=sim,
-                target=target,
-                failure_type=ftype,
-                regime=memory.dratio_regime(dratio),
-                difficulty=difficulty,
-            )
+        errors = physics.target_errors(
+            physics.sim_from_dict(sim), physics.target_from_dict(target)
         )
+        ftype = classify_failure(proposal, rec.get("retrieved", []), target, counter)
+        dratio = proposal["hole_d_um"] / proposal["pitch_um"]
+        buf.add(FailureCase(ftype, memory.dratio_regime(dratio), max(errors)))
     return buf
 
 

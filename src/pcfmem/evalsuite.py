@@ -128,10 +128,8 @@ def design_row(query: Query, geom: Geometry, res: SimResult) -> dict:
     return answer_row(query, text, ok, param=param, succ=hit, qual=qual, phys=hit)
 
 
-def _answer_trend(bank: memory.MemoryBank, query: Query) -> dict:
+def _answer_trend(query: Query, retrieved: list[memory.MemoryEntry]) -> dict:
     gt = query.ground_truth
-    qvec = embed.embed_text(query.text)
-    retrieved = memory.retrieve(bank, qvec, ANSWER_K)
     votes = 0
     for e in retrieved:
         if e.kind not in ("trend", "param_map"):
@@ -162,12 +160,11 @@ def _slope_entries(entries: list[memory.MemoryEntry], metric: str):
     return out
 
 
-def _answer_param(bank: memory.MemoryBank, query: Query, counter: CallCounter) -> dict:
+def _answer_param(
+    query: Query, retrieved: list[memory.MemoryEntry], counter: CallCounter
+) -> dict:
     gt = query.ground_truth
     target = physics.target_from_dict(gt["target"])
-    qvec = embed.embed_text(query.text)
-    retrieved = memory.retrieve(bank, qvec, ANSWER_K)
-
     best = None
     for e in retrieved:
         if not e.geom or not e.observed or "miss" not in e.observed:
@@ -205,9 +202,7 @@ def _answer_param(bank: memory.MemoryBank, query: Query, counter: CallCounter) -
     return row
 
 
-def _answer_reasoning(bank: memory.MemoryBank, query: Query) -> dict:
-    qvec = embed.embed_text(query.text)
-    retrieved = memory.retrieve(bank, qvec, ANSWER_K)
+def _answer_reasoning(query: Query, retrieved: list[memory.MemoryEntry]) -> dict:
     parts = [e.statement for e in retrieved]
     tokens = embed.tokenize(query.text)
     context = "the design targets dispersion and loss at wavelength"
@@ -228,31 +223,40 @@ def _answer_failure(bank: memory.MemoryBank, query: Query) -> dict:
     return answer_row(query, text, passed, phys=1.0 if passed else 0.0)
 
 
-def answer_query(bank: memory.MemoryBank, query: Query, counter: CallCounter) -> dict:
+def answer_query(
+    bank: memory.MemoryBank, query: Query, counter: CallCounter, texts: embed.TextVectors
+) -> dict:
     """Answer one query from a trace's memory bank.
 
-    Only parameter_adjustment charges the env (exactly one verification).
+    failure_analysis reads the bank directly; the other types answer from
+    the ANSWER_K entries retrieved for the query text, whose vector comes
+    from ``texts``. Only parameter_adjustment charges the env (exactly one
+    verification).
     """
-    if query.qtype == "trend_prediction":
-        return _answer_trend(bank, query)
-    if query.qtype == "parameter_adjustment":
-        return _answer_param(bank, query, counter)
-    if query.qtype == "design_reasoning":
-        return _answer_reasoning(bank, query)
     if query.qtype == "failure_analysis":
         return _answer_failure(bank, query)
+    retrieved = memory.retrieve(bank, texts[query.text], ANSWER_K)
+    if query.qtype == "trend_prediction":
+        return _answer_trend(query, retrieved)
+    if query.qtype == "parameter_adjustment":
+        return _answer_param(query, retrieved, counter)
+    if query.qtype == "design_reasoning":
+        return _answer_reasoning(query, retrieved)
     raise ValueError(f"unknown query type: {query.qtype}")
 
 
 def episode_queries(
-    mem_bank: memory.MemoryBank, queries: list[Query], counter: CallCounter
+    mem_bank: memory.MemoryBank,
+    queries: list[Query],
+    counter: CallCounter,
+    texts: embed.TextVectors,
 ) -> tuple[float, list[dict]]:
     """Answer a trace's queries; return (fraction passed, per-query rows)."""
     rows = []
     passed = 0
     for q in sorted(queries, key=lambda q: q.id):
         counter.begin_query()
-        row = answer_query(mem_bank, q, counter)
+        row = answer_query(mem_bank, q, counter, texts)
         row["calls"] = counter.per_query_calls
         rows.append(row)
         if row["passed"]:
@@ -292,7 +296,7 @@ def play_traces(
     out = []
     for trace, ep in zip(traces, eps):
         r_final, rows = episode_queries(
-            ep.mem_bank, queries_by_trace.get(trace.id, []), counter
+            ep.mem_bank, queries_by_trace.get(trace.id, []), counter, cache.texts
         )
         out.append((ep, r_final, rows))
     return out

@@ -5,7 +5,7 @@ evaluated against the span's evidence (the one edited parameter and the
 resulting metric changes). The executor never touches the physics env; all
 numbers come from the span itself. Edits are emitted in skill order and the
 memory bank resolves conflicts at apply time, so process rewards follow the
-per-edit outcomes.
+per-edit statuses.
 """
 
 from __future__ import annotations
@@ -33,19 +33,8 @@ REWARD_MAP = {
 }
 REWARD_CLAMP = 0.2
 
-
-@dataclass
-class SpanContext:
-    evidence: SpanEvidence
-    retrieved: list[MemoryEntry]
-    selected: list[Skill]
-
-
-@dataclass
-class ProcessEvent:
-    edit_index: int
-    category: str
-    reward_delta: float
+# reward category of a non-NOOP edit's apply status; any other is "rejected"
+_STATUS_CATEGORY = {"applied": "accepted", "duplicate": "duplicate"}
 
 
 @dataclass
@@ -53,7 +42,6 @@ class SpanEvidence:
     """Digested numeric view of one span."""
 
     param: str
-    delta_param: float
     deltas: dict
     slopes: dict
     norm_deltas: dict
@@ -85,11 +73,7 @@ def span_evidence(span: Span, target: TargetSpec) -> SpanEvidence:
         or geom.pitch_um > physics.PITCH_MAX_UM - 0.005
         or geom.n_rings in (physics.N_RINGS_MIN, physics.N_RINGS_MAX)
     )
-    d_err = (
-        abs(span.sim_after.dispersion_ps_nm_km - target.dispersion_ps_nm_km)
-        / target.tol_dispersion
-    )
-    a_err = abs(span.sim_after.loss_db_km - target.loss_db_km) / target.tol_loss
+    d_err, a_err = physics.target_errors(span.sim_after, target)
     miss_after = max(d_err, a_err)
     observed = {
         "dispersion": span.sim_after.dispersion_ps_nm_km,
@@ -99,7 +83,6 @@ def span_evidence(span: Span, target: TargetSpec) -> SpanEvidence:
     }
     return SpanEvidence(
         param=span.param,
-        delta_param=dp,
         deltas=deltas,
         slopes=slopes,
         norm_deltas=norm_deltas,
@@ -371,49 +354,38 @@ _RULES = {
 }
 
 
-def execute(ctx: SpanContext) -> tuple[list[MemoryEdit], list[ProcessEvent]]:
-    """Emit ordered edits plus the statically-known NOOP events.
-
-    Events for INSERT/UPDATE/DELETE edits depend on apply outcomes; callers
-    apply the edits and then complete the event list with
-    events_from_outcomes().
-    """
+def execute(
+    evidence: SpanEvidence, retrieved: list[MemoryEntry], selected: list[Skill]
+) -> list[MemoryEdit]:
+    """The edits of the selected skills, in skill order."""
     edits: list[MemoryEdit] = []
-    for skill in ctx.selected:
+    for skill in selected:
         rule = _RULES.get(skill.template_id)
         if rule is None:
             raise SkillConfigError(f"unknown template {skill.template_id!r}")
-        edits.extend(rule(skill, ctx.evidence, ctx.retrieved))
-    events = [
-        ProcessEvent(i, _skip_category(e), REWARD_MAP[_skip_category(e)])
-        for i, e in enumerate(edits)
-        if e.op == "NOOP"
+        edits.extend(rule(skill, evidence, retrieved))
+    return edits
+
+
+def events_from_outcomes(edits: list[MemoryEdit], outcomes: list[EditOutcome]) -> list[str]:
+    """Reward categories of a span's applied edits.
+
+    The NOOP edits' skip categories come first, then one category per other
+    edit from its apply status, each group in edit order: the reward sums
+    them in this order.
+    """
+    skips = [
+        "correct_skip" if edit.skip_correct else "incorrect_skip"
+        for edit in edits
+        if edit.op == "NOOP"
     ]
-    return edits, events
+    return skips + [
+        _STATUS_CATEGORY.get(out.status, "rejected")
+        for edit, out in zip(edits, outcomes)
+        if edit.op != "NOOP"
+    ]
 
 
-def _skip_category(edit: MemoryEdit) -> str:
-    return "correct_skip" if edit.skip_correct else "incorrect_skip"
-
-
-def events_from_outcomes(
-    edits: list[MemoryEdit], outcomes: list[EditOutcome]
-) -> list[ProcessEvent]:
-    """Events for all non-NOOP edits, from their apply outcomes."""
-    events = []
-    for edit, out in zip(edits, outcomes):
-        if edit.op == "NOOP":
-            continue
-        if out.status == "applied":
-            cat = "accepted"
-        elif out.status == "duplicate":
-            cat = "duplicate"
-        else:
-            cat = "rejected"
-        events.append(ProcessEvent(out.edit_index, cat, REWARD_MAP[cat]))
-    return events
-
-
-def process_reward(events: list[ProcessEvent]) -> float:
-    total = sum(e.reward_delta for e in events)
+def process_reward(categories: list[str]) -> float:
+    total = sum(REWARD_MAP[c] for c in categories)
     return max(-REWARD_CLAMP, min(REWARD_CLAMP, total))

@@ -9,7 +9,7 @@ every deletion stays auditable. At most one non-archived entry may exist per
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,9 +110,7 @@ class MemoryEdit:
 
 @dataclass
 class EditOutcome:
-    edit_index: int
     status: str  # applied | duplicate | rejected | noop
-    entry_id: Optional[int] = None
     detail: str = ""
 
 
@@ -131,9 +129,9 @@ class MemoryBank:
                 return e
         return None
 
-    def by_id(self, entry_id: int) -> Optional[MemoryEntry]:
+    def by_id(self, id_: int) -> Optional[MemoryEntry]:
         for e in self.entries:
-            if e.id == entry_id:
+            if e.id == id_:
                 return e
         return None
 
@@ -165,15 +163,15 @@ def _target(bank: MemoryBank, edit: MemoryEdit) -> Optional[MemoryEntry]:
     return None
 
 
-def _apply_one(bank: MemoryBank, edit: MemoryEdit, index: int) -> EditOutcome:
+def _apply_one(bank: MemoryBank, edit: MemoryEdit) -> EditOutcome:
     if edit.op == "NOOP":
-        return EditOutcome(index, "noop", detail=edit.rationale)
+        return EditOutcome("noop", detail=edit.rationale)
 
     if edit.op == "INSERT":
         if edit.key is None or edit.kind is None or edit.kind not in KINDS:
-            return EditOutcome(index, "rejected", detail="malformed insert")
+            return EditOutcome("rejected", detail="malformed insert")
         if bank.active_by_key(edit.key, edit.kind) is not None:
-            return EditOutcome(index, "duplicate", detail="active key+kind exists")
+            return EditOutcome("duplicate", detail="active key+kind exists")
         entry = MemoryEntry(
             id=bank.next_id,
             key=edit.key,
@@ -190,12 +188,12 @@ def _apply_one(bank: MemoryBank, edit: MemoryEdit, index: int) -> EditOutcome:
         )
         bank.entries.append(entry)
         bank.next_id += 1
-        return EditOutcome(index, "applied", entry_id=entry.id)
+        return EditOutcome("applied")
 
     if edit.op == "UPDATE":
         target = _target(bank, edit)
         if target is None:
-            return EditOutcome(index, "rejected", detail="update target missing")
+            return EditOutcome("rejected", detail="update target missing")
         if edit.statement:
             target.statement = edit.statement
         if edit.direction != 0:
@@ -212,26 +210,26 @@ def _apply_one(bank: MemoryBank, edit: MemoryEdit, index: int) -> EditOutcome:
             target.geom = edit.geom
         if edit.observed is not None:
             target.observed = edit.observed
-        return EditOutcome(index, "applied", entry_id=target.id)
+        return EditOutcome("applied")
 
     if edit.op == "DELETE":
         target = _target(bank, edit)
         if target is None:
-            return EditOutcome(index, "rejected", detail="delete target missing")
+            return EditOutcome("rejected", detail="delete target missing")
         if not edit.rationale:
-            return EditOutcome(index, "rejected", detail="delete requires a reason")
+            return EditOutcome("rejected", detail="delete requires a reason")
         target.archived = True
         target.archive_reason = edit.rationale
-        return EditOutcome(index, "applied", entry_id=target.id)
+        return EditOutcome("applied")
 
-    return EditOutcome(index, "rejected", detail=f"unknown op {edit.op!r}")
+    return EditOutcome("rejected", detail=f"unknown op {edit.op!r}")
 
 
 def apply_edits(
     bank: MemoryBank, edits: list[MemoryEdit]
 ) -> tuple[MemoryBank, list[EditOutcome]]:
     """Apply edits in order; later edits observe earlier effects."""
-    outcomes = [_apply_one(bank, e, i) for i, e in enumerate(edits)]
+    outcomes = [_apply_one(bank, e) for e in edits]
     return bank, outcomes
 
 

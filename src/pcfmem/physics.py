@@ -183,6 +183,15 @@ def geometry_from_dict(d: dict) -> Geometry:
     return Geometry(float(d["pitch_um"]), float(d["hole_d_um"]), int(d["n_rings"]))
 
 
+def sim_from_dict(d: dict) -> SimResult:
+    return SimResult(
+        n_eff=float(d["n_eff"]),
+        dispersion_ps_nm_km=float(d["dispersion_ps_nm_km"]),
+        loss_db_km=float(d["loss_db_km"]),
+        lambda_um=float(d["lambda_um"]),
+    )
+
+
 @dataclass
 class CallCounter:
     """Simulation-call ledger; one tick per successful property evaluation."""
@@ -279,13 +288,18 @@ def verify(result: SimResult, target: TargetSpec) -> bool:
     )
 
 
-def miss(result: SimResult, target: TargetSpec) -> float:
-    """Max tolerance-normalized target error; < 1 iff verify() passes."""
-    return max(
+def target_errors(result: SimResult, target: TargetSpec) -> tuple[float, float]:
+    """Tolerance-normalized target errors of dispersion and of loss."""
+    return (
         abs(result.dispersion_ps_nm_km - target.dispersion_ps_nm_km)
         / target.tol_dispersion,
         abs(result.loss_db_km - target.loss_db_km) / target.tol_loss,
     )
+
+
+def miss(result: SimResult, target: TargetSpec) -> float:
+    """Max tolerance-normalized target error; < 1 iff verify() passes."""
+    return max(target_errors(result, target))
 
 
 def quality(result: SimResult, target: TargetSpec, eps: float = 1e-9) -> float:

@@ -64,12 +64,10 @@ class Transition:
     action: list[int]
     logprob: float
     value: float
-    reward: float = 0.0
 
 
 @dataclass
 class EpisodeRollout:
-    trace_id: str
     mem_bank: memory.MemoryBank
     transitions: list[Transition] = field(default_factory=list)
     r_proc: list[float] = field(default_factory=list)
@@ -98,7 +96,7 @@ def run_episode(
     if bias is None:
         bias = np.zeros(n_skills)
     k_pick = min(top_k, n_skills)
-    eps = [EpisodeRollout(trace_id=t.id, mem_bank=memory.MemoryBank()) for t in traces]
+    eps = [EpisodeRollout(memory.MemoryBank()) for _ in traces]
 
     for idx in range(max((len(t.spans) for t in traces), default=0)):
         live = [i for i, t in enumerate(traces) if idx < len(t.spans)]
@@ -133,15 +131,13 @@ def run_episode(
                     logprob=policy.action_logprob(z[i], action),
                     value=float(values[i]),
                 )
-            ctx = executor.SpanContext(
-                evidence=cache.span_evidence(traces[i], idx),
-                retrieved=retrieved[i],
-                selected=[bank.skills[a] for a in action],
+            edits = executor.execute(
+                cache.span_evidence(traces[i], idx),
+                retrieved[i],
+                [bank.skills[a] for a in action],
             )
-            edits, skip_events = executor.execute(ctx)
             _, outcomes = memory.apply_edits(eps[i].mem_bank, edits)
-            events = skip_events + executor.events_from_outcomes(edits, outcomes)
-            tr.reward = executor.process_reward(events)
+            categories = executor.events_from_outcomes(edits, outcomes)
             eps[i].transitions.append(tr)
-            eps[i].r_proc.append(tr.reward)
+            eps[i].r_proc.append(executor.process_reward(categories))
     return eps

@@ -258,13 +258,9 @@ def run_inner_loop(
             [(10, outer_epoch, inner, slot) for slot in range(len(picks))],
             queries_by_trace, counter, cfg.k_retrieve, cfg.top_k, bias,
         )
-        for trace, (ep, r_final, rows) in zip(batch_traces, played):
+        for ep, r_final, rows in played:
             queries_answered += len(rows)
-            for row in rows:
-                if row["qtype"] == "parameter_adjustment":
-                    rec = dict(row)
-                    rec["trace_id"] = trace.id
-                    log.query_records.append(rec)
+            log.query_records.extend(r for r in rows if r["qtype"] == "parameter_adjustment")
             success_log.append(r_final)
 
             t_len = len(ep.transitions)

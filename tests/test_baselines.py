@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcfmem import baselines, datagen, evalsuite, physics
+from pcfmem.embed import TextVectors
 from pcfmem.memory import MemoryBank
 from pcfmem.physics import CallCounter, Geometry, TargetSpec
 
@@ -150,7 +151,7 @@ def test_agent_and_baseline_rows_share_one_schema(
         first.setdefault(q.qtype, q)
     assert sorted(first) == sorted(datagen.QUERY_TYPES)
     agent_rows = {
-        qtype: evalsuite.answer_query(MemoryBank(), q, CallCounter())
+        qtype: evalsuite.answer_query(MemoryBank(), q, CallCounter(), TextVectors())
         for qtype, q in first.items()
     }
     for row in agent_rows.values():

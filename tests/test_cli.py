@@ -311,6 +311,30 @@ def test_sweep_writes_one_cell_per_axis_value(tmp_path, capsys):
     assert len(cells) == 18
 
 
+def test_run_directory_holds_one_ablation(tmp_path, capsys):
+    # a second evolve into the same --out would replace the bank and results
+    # of the first but keep its checkpoint, and eval would score the mix
+    code, _, _ = _run(
+        ["gen-data", "--n-traces", "120", "--seed", "3", "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch": 8}))
+    common = ["--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]
+    code, _, _ = _run(["evolve", "--outer", "1", "--inner", "2"] + common, capsys)
+    assert code == 0
+    names = ("bank.json", "results.json", "checkpoint.npz")
+    first = [(tmp_path / name).read_bytes() for name in names]
+    for command in (["evolve", "--outer", "1", "--inner", "2"], ["eval"], ["train"]):
+        code, _, err = _run(command + ["--ablate", "wo_controller"] + common, capsys)
+        assert code == cli.EXIT_DATA, command
+        assert "results.json" in err and "'full'" in err and "'wo_controller'" in err
+        assert [(tmp_path / name).read_bytes() for name in names] == first
+    assert not (tmp_path / "eval_wo_controller.json").exists()
+    code, _, _ = _run(["eval"] + common, capsys)
+    assert code == 0
+
+
 def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
     # the BLAS thread count changes the bits of a matrix product, and through
     # them the gate decisions of training; pcfmem pins its BLAS to one thread

@@ -103,17 +103,10 @@ def test_classify_planted_four_ways():
 def test_buffer_evicts_easiest_case():
     buf = FailureBuffer(capacity=3)
 
-    def case(qid, difficulty):
-        return FailureCase(
-            trace_id="t", query_id=qid, proposed=PROPOSAL, retrieved=[],
-            sim={}, target=TARGET, failure_type="spurious_memory",
-            regime="mid", difficulty=difficulty,
-        )
-
-    for qid, d in (("a", 5.0), ("b", 1.0), ("c", 3.0), ("d", 9.0)):
-        buf.add(case(qid, d))
+    for d in (5.0, 1.0, 3.0, 9.0):
+        buf.add(FailureCase(failure_type="spurious_memory", regime="mid", difficulty=d))
     assert len(buf) == 3
-    assert sorted(c.query_id for c in buf.cases) == ["a", "c", "d"]
+    assert sorted(c.difficulty for c in buf.cases) == [3.0, 5.0, 9.0]
 
 
 def test_collect_failures_filters_and_classifies():
@@ -123,7 +116,10 @@ def test_collect_failures_filters_and_classifies():
             "trace_id": "t00000", "query_id": "q1", "qtype": "parameter_adjustment",
             "passed": False,
             "proposal": PROPOSAL,
-            "sim": {"dispersion_ps_nm_km": 100.0, "loss_db_km": 0.02},
+            "sim": {
+                "n_eff": 1.44, "dispersion_ps_nm_km": 100.0, "loss_db_km": 0.02,
+                "lambda_um": 1.55,
+            },
             "target": TARGET,
             "retrieved": [],
         },
@@ -149,11 +145,7 @@ def test_collect_failures_filters_and_classifies():
 
 def _mk_cluster(ftype, regime, difficulties):
     cases = [
-        FailureCase(
-            trace_id="t", query_id=f"q{i}", proposed=PROPOSAL, retrieved=[],
-            sim={}, target=TARGET, failure_type=ftype, regime=regime, difficulty=d,
-        )
-        for i, d in enumerate(difficulties)
+        FailureCase(failure_type=ftype, regime=regime, difficulty=d) for d in difficulties
     ]
     return FailureCluster(failure_type=ftype, regime=regime, cases=cases)
 
@@ -166,14 +158,8 @@ def test_cluster_ordering():
         ("spurious_memory", "high", [30.0]),
     ]
     for ftype, regime, diffs in specs:
-        for i, d in enumerate(diffs):
-            buf.add(
-                FailureCase(
-                    trace_id="t", query_id=f"{ftype}-{i}", proposed=PROPOSAL,
-                    retrieved=[], sim={}, target=TARGET, failure_type=ftype,
-                    regime=regime, difficulty=d,
-                )
-            )
+        for d in diffs:
+            buf.add(FailureCase(failure_type=ftype, regime=regime, difficulty=d))
     clusters = designer.cluster_failures(buf)
     # size first, then total difficulty breaks the 3-3 tie
     assert [(c.failure_type, c.size) for c in clusters] == [

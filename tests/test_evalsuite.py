@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pcfmem import datagen, evalsuite, memory, physics, rollout, skills
+from pcfmem import datagen, embed, evalsuite, memory, physics, rollout, skills
 from pcfmem.datagen import Query
+from pcfmem.embed import TextVectors
 from pcfmem.memory import MemoryBank, MemoryEntry, MemoryKey
 from pcfmem.physics import CallCounter, Geometry, SimResult, TargetSpec
 
@@ -77,6 +78,11 @@ def _trend_entry(eid, direction, param="pitch", metric="dispersion"):
     )
 
 
+def _answer(bank, query, counter=None):
+    """The row answer_query gives, with a fresh text memo."""
+    return evalsuite.answer_query(bank, query, counter or CallCounter(), TextVectors())
+
+
 def test_answer_trend_majority_vote():
     query = _mk_query(
         "trend_prediction",
@@ -87,18 +93,18 @@ def test_answer_trend_majority_vote():
     bank = MemoryBank()
     bank.entries = [_trend_entry(1, 1), _trend_entry(2, 1), _trend_entry(3, -1)]
     bank.next_id = 4
-    row = evalsuite._answer_trend(bank, query)
+    row = _answer(bank, query)
     assert row["passed"] is True
     assert row["trend"] == 1.0
     assert row["phys"] == 1.0
     assert "increase" in row["answer_text"]
 
     bank.entries = [_trend_entry(1, -1), _trend_entry(2, -1), _trend_entry(3, 1)]
-    row = evalsuite._answer_trend(bank, query)
+    row = _answer(bank, query)
     assert row["passed"] is False
     assert "decrease" in row["answer_text"]
 
-    row = evalsuite._answer_trend(MemoryBank(), query)
+    row = _answer(MemoryBank(), query)
     assert row["passed"] is False
     assert "unknown" in row["answer_text"]
 
@@ -131,7 +137,7 @@ def test_answer_param_uses_stored_design_and_charges_once():
         {"reference_geometry": goal.as_dict(), "target": target.as_dict()},
     )
     counter = CallCounter()
-    row = evalsuite._answer_param(bank, query, counter)
+    row = _answer(bank, query, counter)
     assert counter.total_calls == 1  # exactly one verification
     assert row["succ"] == 1.0
     assert row["param"] == 1.0
@@ -151,7 +157,7 @@ def test_answer_param_fallback_is_single_call():
         },
     )
     counter = CallCounter()
-    row = evalsuite._answer_param(MemoryBank(), query, counter)
+    row = _answer(MemoryBank(), query, counter)
     assert counter.total_calls == 1
     assert row["proposal"] is not None
     assert physics.geometry_valid(physics.geometry_from_dict(row["proposal"]))
@@ -191,7 +197,7 @@ def test_answer_param_slope_correction():
         {"reference_geometry": base.as_dict(), "target": target.as_dict()},
     )
     counter = CallCounter()
-    row = evalsuite._answer_param(bank, query, counter)
+    row = _answer(bank, query, counter)
     assert counter.total_calls == 1
     assert row["proposal"]["pitch_um"] == pytest.approx(2.5, abs=0.02)
 
@@ -222,13 +228,13 @@ def test_answer_reasoning_coverage_gate():
         {"concepts": list(datagen.CONCEPT_KEYS)},
         text="explain the design at 1.55 um",
     )
-    row = evalsuite._answer_reasoning(bank, query)
+    row = _answer(bank, query)
     # pitch, dispersion, loss, rings, n_eff from memory + wavelength context
     assert row["design"] >= 6 / 7 - 1e-9
     assert row["passed"] is True
     assert "wavelength" in row["answer_text"]
 
-    row = evalsuite._answer_reasoning(MemoryBank(), query)
+    row = _answer(MemoryBank(), query)
     assert row["design"] < 0.5
     assert row["passed"] is False
 
@@ -267,13 +273,34 @@ def test_answer_query_dispatch_and_row_tagging():
         "trend_prediction",
         {"direction": 1, "param": "pitch", "metric": "dispersion", "lambda_um": LAM},
     )
-    row = evalsuite.answer_query(MemoryBank(), query, CallCounter())
+    row = _answer(MemoryBank(), query)
     assert row["query_id"] == query.id
     assert row["trace_id"] == "t00000"
     assert row["qtype"] == "trend_prediction"
     bogus = _mk_query("oracle_request", {})
     with pytest.raises(ValueError):
-        evalsuite.answer_query(MemoryBank(), bogus, CallCounter())
+        _answer(MemoryBank(), bogus)
+
+
+def test_answers_embed_each_query_text_once(monkeypatch):
+    embedded = []
+    embed_text = embed.embed_text
+    monkeypatch.setattr(
+        embed, "embed_text", lambda text: embedded.append(text) or embed_text(text)
+    )
+    query = _mk_query(
+        "trend_prediction",
+        {"direction": 1, "param": "pitch", "metric": "dispersion", "lambda_um": LAM},
+    )
+    bank = MemoryBank()
+    bank.entries = [_trend_entry(1, 1)]
+    bank.next_id = 2
+    texts = TextVectors()
+    rows = [evalsuite.answer_query(bank, query, CallCounter(), texts) for _ in range(2)]
+    assert rows[0] == rows[1]
+    assert rows[0]["passed"] is True
+    assert embedded.count(query.text) == 1
+    assert texts[query.text] is texts[query.text]
 
 
 def test_episode_queries_counts_and_fraction():
@@ -293,14 +320,14 @@ def test_episode_queries_counts_and_fraction():
         ),
     ]
     counter = CallCounter()
-    r_final, rows = evalsuite.episode_queries(MemoryBank(), queries, counter)
+    r_final, rows = evalsuite.episode_queries(MemoryBank(), queries, counter, TextVectors())
     assert len(rows) == 2
     assert [r["query_id"] for r in rows] == ["t00000-q0", "t00000-q1"]
     assert rows[0]["calls"] == 0  # trend answers are free
     assert rows[1]["calls"] == 1  # one verification
     assert counter.total_calls == 1
     assert r_final in (0.0, 0.5, 1.0)
-    assert evalsuite.episode_queries(MemoryBank(), [], CallCounter())[0] == 0.0
+    assert evalsuite.episode_queries(MemoryBank(), [], CallCounter(), TextVectors())[0] == 0.0
 
 
 def test_evaluate_agent_rows_sorted_and_deterministic(small_corpus, traces_by_id):

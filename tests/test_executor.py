@@ -3,7 +3,6 @@
 import pytest
 
 from pcfmem import datagen, executor, memory, physics, skills
-from pcfmem.executor import ProcessEvent, SpanContext
 from pcfmem.memory import MemoryBank, MemoryEntry, MemoryKey
 from pcfmem.physics import CallCounter, Geometry, TargetSpec
 
@@ -27,9 +26,9 @@ def on_target(span):
     )
 
 
-def span_context(span, retrieved, selected, target):
-    """The executor's input for ``span`` judged against ``target``."""
-    return SpanContext(executor.span_evidence(span, target), retrieved, selected)
+def execute(span, retrieved, selected, target):
+    """The executor's edits for ``span`` judged against ``target``."""
+    return executor.execute(executor.span_evidence(span, target), retrieved, selected)
 
 
 def skill_by_template(template_id, bank=None):
@@ -62,14 +61,13 @@ def test_span_evidence_detects_bounds():
 
 def test_insert_rule_emits_one_edit_per_moved_metric():
     span = make_span("pitch")
-    ctx = span_context(
+    edits = execute(
         span=span,
         retrieved=[],
         selected=[skill_by_template("insert_param_map")],
         target=on_target(span),
     )
-    edits, noop_events = executor.execute(ctx)
-    assert noop_events == []
+    assert not any(e.op == "NOOP" for e in edits)  # no skip categories
     assert len(edits) == 3
     by_metric = {e.key.metric: e for e in edits}
     assert set(by_metric) == {"dispersion", "loss", "n_eff"}
@@ -101,19 +99,17 @@ def test_duplicate_insert_reward_arithmetic():
             )
         ],
     )
-    ctx = span_context(
+    edits = execute(
         span=span,
         retrieved=[],
         selected=[skill_by_template("insert_param_map")],
         target=on_target(span),
     )
-    edits, skip_events = executor.execute(ctx)
     _, outcomes = memory.apply_edits(mem, edits)
-    events = skip_events + executor.events_from_outcomes(edits, outcomes)
-    cats = sorted(e.category for e in events)
-    assert cats == ["accepted", "accepted", "duplicate"]
+    categories = executor.events_from_outcomes(edits, outcomes)
+    assert sorted(categories) == ["accepted", "accepted", "duplicate"]
     # 2 * 0.05 - 0.05
-    assert executor.process_reward(events) == pytest.approx(0.05)
+    assert executor.process_reward(categories) == pytest.approx(0.05)
 
 
 def test_skip_rule_correct_and_incorrect():
@@ -128,12 +124,14 @@ def test_skip_rule_correct_and_incorrect():
         template_id="skip_span", params={"theta_noise": 0.0},
     )
     for sk, correct in ((quiet, True), (loud, False)):
-        ctx = span_context(span=span, retrieved=[], selected=[sk], target=on_target(span))
-        edits, events = executor.execute(ctx)
+        edits = execute(span=span, retrieved=[], selected=[sk], target=on_target(span))
         assert len(edits) == 1 and edits[0].op == "NOOP"
         assert edits[0].skip_correct is correct
+        _, outcomes = memory.apply_edits(MemoryBank(), edits)
+        categories = executor.events_from_outcomes(edits, outcomes)
+        assert categories == ["correct_skip" if correct else "incorrect_skip"]
         want = 0.02 if correct else -0.02
-        assert executor.process_reward(events) == pytest.approx(want)
+        assert executor.process_reward(categories) == pytest.approx(want)
     assert base.params["theta_noise"] == 1.0
 
 
@@ -160,13 +158,12 @@ def test_update_rule_supports_and_halves():
         support_count=2,
         confidence=0.8,
     )
-    ctx = span_context(
+    edits = execute(
         span=span,
         retrieved=[agree, disagree],
         selected=[skill_by_template("update_trend")],
         target=on_target(span),
     )
-    edits, _ = executor.execute(ctx)
     assert len(edits) == 2
     up_agree = next(e for e in edits if e.target_id == 1)
     up_disagree = next(e for e in edits if e.target_id == 2)
@@ -197,29 +194,26 @@ def test_delete_rule_contradiction_ladder():
         template_id="delete_invalid", params={"theta_del": 2},
     )
     # first contradiction only records the strike
-    ctx = span_context(
+    edits = execute(
         span=span, retrieved=[stale_entry(0)], selected=[strict], target=on_target(span)
     )
-    edits, _ = executor.execute(ctx)
     assert len(edits) == 1
     assert edits[0].op == "UPDATE"
     assert edits[0].contradictions == 1
     # second contradiction crosses theta_del and deletes, with a reason
-    ctx = span_context(
+    edits = execute(
         span=span, retrieved=[stale_entry(1)], selected=[strict], target=on_target(span)
     )
-    edits, _ = executor.execute(ctx)
     assert edits[0].op == "DELETE"
     assert edits[0].target_id == 5
     assert "contradicted" in edits[0].rationale
     # the default bank deletes on the first strike (theta_del = 1)
-    ctx = span_context(
+    edits = execute(
         span=span,
         retrieved=[stale_entry(0)],
         selected=[skill_by_template("delete_invalid")],
         target=on_target(span),
     )
-    edits, _ = executor.execute(ctx)
     assert edits[0].op == "DELETE"
 
 
@@ -231,8 +225,7 @@ def test_boundary_rule_fires_on_missed_target():
         span.sim_after.lambda_um,
     )
     boundary_skill = skills.make_catalog_skill("failure_boundary_insert", 1, 1)
-    ctx = span_context(span=span, retrieved=[], selected=[boundary_skill], target=far)
-    edits, _ = executor.execute(ctx)
+    edits = execute(span=span, retrieved=[], selected=[boundary_skill], target=far)
     assert len(edits) == 1
     edit = edits[0]
     assert edit.op == "INSERT"
@@ -240,10 +233,9 @@ def test_boundary_rule_fires_on_missed_target():
     assert edit.key.metric == "dispersion"  # the worse-missed metric
     assert edit.slope == pytest.approx(20.0)  # 100 / tol_D
     # on-target span produces nothing
-    ctx = span_context(
+    edits = execute(
         span=span, retrieved=[], selected=[boundary_skill], target=on_target(span)
     )
-    edits, _ = executor.execute(ctx)
     assert edits == []
 
 
@@ -251,12 +243,10 @@ def test_hotspot_rule_threshold():
     span = make_span("pitch")
     lo = skills.make_catalog_skill("sensitivity_hotspot_insert", 1, 1, theta=0.0)
     hi = skills.make_catalog_skill("sensitivity_hotspot_insert", 2, 1, theta=1e12)
-    ctx = span_context(span=span, retrieved=[], selected=[lo], target=on_target(span))
-    edits, _ = executor.execute(ctx)
+    edits = execute(span=span, retrieved=[], selected=[lo], target=on_target(span))
     assert len(edits) == 3
     assert all(e.kind == "hotspot" for e in edits)
-    ctx = span_context(span=span, retrieved=[], selected=[hi], target=on_target(span))
-    edits, _ = executor.execute(ctx)
+    edits = execute(span=span, retrieved=[], selected=[hi], target=on_target(span))
     assert edits == []
 
 
@@ -266,16 +256,14 @@ def test_frontier_rule_dominance():
     target = on_target(span)  # d_err = a_err = 0: dominates everything
     key = MemoryKey("pitch", "dispersion", "1.55-band", "mid")
 
-    ctx = span_context(span=span, retrieved=[], selected=[frontier_skill], target=target)
-    edits, _ = executor.execute(ctx)
+    edits = execute(span=span, retrieved=[], selected=[frontier_skill], target=target)
     assert [e.op for e in edits] == ["INSERT"]
 
     worse = MemoryEntry(
         id=9, key=key, kind="frontier_point", statement="old point",
         direction=1, slope=0.0, observed={"d_err": 3.0, "a_err": 4.0},
     )
-    ctx = span_context(span=span, retrieved=[worse], selected=[frontier_skill], target=target)
-    edits, _ = executor.execute(ctx)
+    edits = execute(span=span, retrieved=[worse], selected=[frontier_skill], target=target)
     assert [e.op for e in edits] == ["DELETE", "INSERT"]
     assert edits[0].target_id == 9
 
@@ -288,14 +276,13 @@ def test_frontier_rule_dominance():
         span.sim_after.loss_db_km + 0.01,
         span.sim_after.lambda_um,
     )
-    ctx = span_context(span=span, retrieved=[better], selected=[frontier_skill], target=far)
-    edits, _ = executor.execute(ctx)
+    edits = execute(span=span, retrieved=[better], selected=[frontier_skill], target=far)
     assert edits == []  # dominated by the stored point
 
 
 def test_process_reward_clamps():
-    plus = [ProcessEvent(i, "accepted", 0.05) for i in range(8)]
-    minus = [ProcessEvent(i, "rejected", -0.05) for i in range(8)]
+    plus = ["accepted"] * 8
+    minus = ["rejected"] * 8
     assert executor.process_reward(plus) == pytest.approx(0.2)
     assert executor.process_reward(minus) == pytest.approx(-0.2)
     assert executor.process_reward([]) == 0.0
@@ -307,6 +294,20 @@ def test_unknown_template_raises():
         id="x_v1", name="X", action_type="INSERT", description="d",
         template_id="mystery", params={},
     )
-    ctx = span_context(span=span, retrieved=[], selected=[bogus], target=on_target(span))
     with pytest.raises(skills.SkillConfigError):
-        executor.execute(ctx)
+        execute(span=span, retrieved=[], selected=[bogus], target=on_target(span))
+
+
+def test_reward_categories_put_skips_first():
+    edits = [
+        memory.MemoryEdit(op="INSERT"),
+        memory.MemoryEdit(op="NOOP", skip_correct=True),
+        memory.MemoryEdit(op="UPDATE"),
+        memory.MemoryEdit(op="NOOP", skip_correct=False),
+        memory.MemoryEdit(op="DELETE"),
+    ]
+    statuses = ["applied", "noop", "duplicate", "noop", "rejected"]
+    outcomes = [memory.EditOutcome(status) for status in statuses]
+    assert executor.events_from_outcomes(edits, outcomes) == [
+        "correct_skip", "incorrect_skip", "accepted", "duplicate", "rejected",
+    ]
