@@ -43,6 +43,13 @@ SWEEP_AXES = {
     "top_k": (1, 2, 3),
 }
 
+# count settings and their least values; a 0 would train nothing or divide
+# by zero deep inside the loop
+COUNT_MINIMUMS = {
+    "inner_epochs": 1, "batch": 1, "minibatch": 1, "epochs_per_update": 1,
+    "k_retrieve": 1, "top_k": 1, "designer_cadence": 1, "outer_epochs": 0,
+}
+
 CSV_COLUMNS = ("method", "f1", "design", "param", "trend", "succ", "qual", "phys", "calls_per_query")
 
 
@@ -97,6 +104,10 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.outer_epochs = args.outer
     if getattr(args, "inner", None) is not None:
         cfg.inner_epochs = args.inner
+    for name, least in COUNT_MINIMUMS.items():
+        value = getattr(cfg, name)
+        if value < least:
+            raise CorpusFormatError(f"config key {name!r} must be at least {least}, got {value}")
     return cfg
 
 

@@ -592,16 +592,17 @@ def _write_jsonl(path: str, fmt: str, records: list[dict]) -> None:
 
 
 def _read_jsonl(path: str, fmt: str, build: Callable[[dict], object]) -> list:
-    """Check the format header, then ``build`` one record per line.
+    """Check the format header on line 1, then ``build`` one record per line.
 
-    A record ``build`` cannot read (missing field, wrong type or value)
-    raises CorpusFormatError naming the file and line.
+    A file without the header or without records, or a record ``build``
+    cannot read (missing field, wrong type or value), raises
+    CorpusFormatError naming the file and line.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line and lineno > 1:
                 continue
             try:
                 doc = json.loads(line)
@@ -621,6 +622,8 @@ def _read_jsonl(path: str, fmt: str, build: Callable[[dict], object]) -> list:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: bad record: {type(exc).__name__}: {exc}"
                 ) from exc
+    if not records:
+        raise CorpusFormatError(f"{path}:1: no records")
     return records
 
 

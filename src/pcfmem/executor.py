@@ -117,7 +117,6 @@ def _insert(
     statement: str,
     direction: int,
     slope: float,
-    rationale: str,
     observed: dict | None = None,
 ) -> MemoryEdit:
     """A new entry keyed on the span's parameter, bucket and regime.
@@ -125,20 +124,18 @@ def _insert(
     It starts at support 1 and confidence 0.5, at the span's geometry, and
     records the span's observed metrics unless ``observed`` is given.
     """
-    return MemoryEdit(
-        op="INSERT",
+    entry = MemoryEntry(
+        id=0,
         key=MemoryKey(ev.param, metric, ev.bucket, ev.regime),
         kind=kind,
         statement=statement,
         direction=direction,
         slope=slope,
-        support_count=1,
-        confidence=0.5,
+        created_step=ev.step,
         geom=ev.geom_after,
         observed=dict(ev.observed) if observed is None else observed,
-        created_step=ev.step,
-        rationale=rationale,
     )
+    return MemoryEdit(op="INSERT", entry=entry)
 
 
 def _rule_insert_param_map(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
@@ -153,8 +150,7 @@ def _rule_insert_param_map(skill: Skill, ev: SpanEvidence, retrieved) -> list[Me
         if not fire or ev.signs[m] == 0:
             continue
         statement = _entry_statement(ev, m, scoped)
-        rationale = f"observed {ev.param} move changed {m}"
-        edits.append(_insert(ev, m, "param_map", statement, ev.signs[m], ev.slopes[m], rationale))
+        edits.append(_insert(ev, m, "param_map", statement, ev.signs[m], ev.slopes[m]))
     return edits
 
 
@@ -183,35 +179,16 @@ def _rule_update_trend(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memory
                 conf = (support / (support + 1.0)) * (1.0 - 0.5 * spread)
             else:
                 conf = min(1.0, support / 5.0)
-            refresh = ev.miss_after < (e.observed or {}).get("miss", float("inf"))
-            edits.append(
-                MemoryEdit(
-                    op="UPDATE",
-                    target_id=e.id,
-                    slope=slope,
-                    support_count=support,
-                    confidence=conf,
-                    geom=ev.geom_after if refresh else None,
-                    observed=dict(ev.observed) if refresh else None,
-                    rationale=f"agreeing evidence for {ev.param}->{m}",
-                )
-            )
+            changes = {"slope": slope, "support_count": support, "confidence": conf}
+            if ev.miss_after < (e.observed or {}).get("miss", float("inf")):
+                changes.update(geom=ev.geom_after, observed=dict(ev.observed))
+            edits.append(MemoryEdit(op="UPDATE", target_id=e.id, changes=changes))
+        elif regime_aware and not same_regime:
+            statement = _entry_statement(ev, m, False)
+            edits.append(_insert(ev, m, "trend", statement, ev.signs[m], ev.slopes[m]))
         else:
-            if regime_aware and not same_regime:
-                statement = _entry_statement(ev, m, False)
-                rationale = "regime split on cross-regime disagreement"
-                edits.append(
-                    _insert(ev, m, "trend", statement, ev.signs[m], ev.slopes[m], rationale)
-                )
-            else:
-                edits.append(
-                    MemoryEdit(
-                        op="UPDATE",
-                        target_id=e.id,
-                        confidence=e.confidence / 2.0,
-                        rationale=f"disagreeing evidence for {ev.param}->{m}",
-                    )
-                )
+            changes = {"confidence": e.confidence / 2.0}
+            edits.append(MemoryEdit(op="UPDATE", target_id=e.id, changes=changes))
     return edits
 
 
@@ -241,12 +218,7 @@ def _rule_delete_invalid(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memo
             edits.append(MemoryEdit(op="DELETE", target_id=e.id, rationale=reason))
         else:
             edits.append(
-                MemoryEdit(
-                    op="UPDATE",
-                    target_id=e.id,
-                    contradictions=count,
-                    rationale=f"contradiction {count}/{theta_del} recorded",
-                )
+                MemoryEdit(op="UPDATE", target_id=e.id, changes={"contradictions": count})
             )
     return edits
 
@@ -254,13 +226,7 @@ def _rule_delete_invalid(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memo
 def _rule_skip(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
     theta = float(skill.params.get("theta_noise", 1.0))
     change = max(ev.norm_deltas["dispersion"], ev.norm_deltas["loss"])
-    return [
-        MemoryEdit(
-            op="NOOP",
-            rationale=f"normalized change {change:.3g} vs noise threshold {theta:.3g}",
-            skip_correct=change < theta,
-        )
-    ]
+    return [MemoryEdit(op="NOOP", skip_correct=change < theta)]
 
 
 def _rule_insert_boundary(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
@@ -269,19 +235,18 @@ def _rule_insert_boundary(skill: Skill, ev: SpanEvidence, retrieved) -> list[Mem
     # the worse-missed metric names the violated interval
     metric = "dispersion" if ev.d_err >= ev.a_err else "loss"
     if ev.at_bound and ev.miss_after < 1.0:
-        detail = "geometry bound reached"
+        cause = "geometry bound reached"
     else:
-        detail = f"target band missed by {ev.miss_after:.3g} tolerance units"
+        cause = f"target band missed by {ev.miss_after:.3g} tolerance units"
     return [
         _insert(
             ev,
             metric,
             "boundary",
-            f"failure boundary on {metric}: {detail} after moving "
+            f"failure boundary on {metric}: {cause} after moving "
             f"{ev.param} in the {ev.regime} fill regime",
             1,
             ev.miss_after,
-            "tolerance band or geometry bound violated",
         )
     ]
 
@@ -297,8 +262,7 @@ def _rule_insert_hotspot(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memo
             f"sensitivity hotspot: {m} swings {slope_norm:.3g} tolerance units per unit "
             f"{ev.param}, take smaller moves in the {ev.regime} fill regime"
         )
-        rationale = f"normalized slope {slope_norm:.3g} >= {theta_hot:.3g}"
-        edits.append(_insert(ev, m, "hotspot", statement, ev.signs[m], ev.slopes[m], rationale))
+        edits.append(_insert(ev, m, "hotspot", statement, ev.signs[m], ev.slopes[m]))
     return edits
 
 
@@ -319,7 +283,6 @@ def _rule_update_frontier(skill: Skill, ev: SpanEvidence, retrieved) -> list[Mem
         f"{ev.regime} fill regime",
         ev.signs.get("dispersion", 0) or 1,
         ev.slopes.get("dispersion", 0.0),
-        "non-dominated trade-off point",
         observed={**ev.observed, "d_err": d_err, "a_err": a_err},
     )
     if existing is None:

@@ -89,29 +89,29 @@ class MemoryEntry:
         }
 
 
+# the fields an UPDATE may set: never id, key, kind or the archive fields, so
+# one active entry per (key, kind) and "only DELETE archives" hold by construction
+UPDATABLE = frozenset(
+    ("statement", "direction", "slope", "support_count", "confidence",
+     "contradictions", "geom", "observed")
+)
+
+
 @dataclass
 class MemoryEdit:
+    """One edit, carrying only what its operation uses."""
+
     op: str  # INSERT | UPDATE | DELETE | NOOP
-    key: Optional[MemoryKey] = None
-    kind: Optional[str] = None
-    target_id: Optional[int] = None
-    statement: str = ""
-    direction: int = 0  # 0 = unset for UPDATE
-    slope: Optional[float] = None
-    support_count: Optional[int] = None
-    confidence: Optional[float] = None
-    contradictions: Optional[int] = None
-    geom: Optional[dict] = None
-    observed: Optional[dict] = None
-    created_step: int = 0
-    rationale: str = ""
-    skip_correct: Optional[bool] = None  # NOOP only
+    entry: Optional[MemoryEntry] = None  # INSERT; its id is assigned on apply
+    target_id: Optional[int] = None  # UPDATE and DELETE
+    changes: Optional[dict] = None  # UPDATE: field name -> new value
+    rationale: str = ""  # DELETE: the archive reason
+    skip_correct: Optional[bool] = None  # NOOP
 
 
 @dataclass
 class EditOutcome:
     status: str  # applied | duplicate | rejected | noop
-    detail: str = ""
 
 
 class MemoryBank:
@@ -153,76 +153,41 @@ def retrieve(bank: MemoryBank, query: np.ndarray, k: int = 5) -> list[MemoryEntr
     return [e for _, _, e in scored[:k]]
 
 
-def _target(bank: MemoryBank, edit: MemoryEdit) -> Optional[MemoryEntry]:
-    """The active entry an UPDATE or DELETE names, by id or by (key, kind)."""
-    if edit.target_id is not None:
-        entry = bank.by_id(edit.target_id)
-        return None if entry is None or entry.archived else entry
-    if edit.key is not None and edit.kind is not None:
-        return bank.active_by_key(edit.key, edit.kind)
-    return None
-
-
 def _apply_one(bank: MemoryBank, edit: MemoryEdit) -> EditOutcome:
     if edit.op == "NOOP":
-        return EditOutcome("noop", detail=edit.rationale)
+        return EditOutcome("noop")
 
     if edit.op == "INSERT":
-        if edit.key is None or edit.kind is None or edit.kind not in KINDS:
-            return EditOutcome("rejected", detail="malformed insert")
-        if bank.active_by_key(edit.key, edit.kind) is not None:
-            return EditOutcome("duplicate", detail="active key+kind exists")
-        entry = MemoryEntry(
-            id=bank.next_id,
-            key=edit.key,
-            kind=edit.kind,
-            statement=edit.statement,
-            direction=edit.direction,
-            slope=edit.slope if edit.slope is not None else 0.0,
-            support_count=edit.support_count if edit.support_count is not None else 1,
-            confidence=edit.confidence if edit.confidence is not None else 0.5,
-            created_step=edit.created_step,
-            contradictions=edit.contradictions or 0,
-            geom=edit.geom,
-            observed=edit.observed,
-        )
+        entry = edit.entry
+        if entry is None or entry.kind not in KINDS:
+            return EditOutcome("rejected")
+        if bank.active_by_key(entry.key, entry.kind) is not None:
+            return EditOutcome("duplicate")
+        entry.id = bank.next_id
         bank.entries.append(entry)
         bank.next_id += 1
         return EditOutcome("applied")
 
+    target = None if edit.target_id is None else bank.by_id(edit.target_id)
+    if target is None or target.archived:
+        return EditOutcome("rejected")
+
     if edit.op == "UPDATE":
-        target = _target(bank, edit)
-        if target is None:
-            return EditOutcome("rejected", detail="update target missing")
-        if edit.statement:
-            target.statement = edit.statement
-        if edit.direction != 0:
-            target.direction = edit.direction
-        if edit.slope is not None:
-            target.slope = edit.slope
-        if edit.support_count is not None:
-            target.support_count = edit.support_count
-        if edit.confidence is not None:
-            target.confidence = min(1.0, max(0.0, edit.confidence))
-        if edit.contradictions is not None:
-            target.contradictions = edit.contradictions
-        if edit.geom is not None:
-            target.geom = edit.geom
-        if edit.observed is not None:
-            target.observed = edit.observed
+        changes = edit.changes or {}
+        if not UPDATABLE.issuperset(changes):
+            return EditOutcome("rejected")
+        for name, value in changes.items():
+            setattr(target, name, value)
+        if "confidence" in changes:
+            target.confidence = min(1.0, max(0.0, target.confidence))
         return EditOutcome("applied")
 
-    if edit.op == "DELETE":
-        target = _target(bank, edit)
-        if target is None:
-            return EditOutcome("rejected", detail="delete target missing")
-        if not edit.rationale:
-            return EditOutcome("rejected", detail="delete requires a reason")
+    if edit.op == "DELETE" and edit.rationale:
         target.archived = True
         target.archive_reason = edit.rationale
         return EditOutcome("applied")
 
-    return EditOutcome("rejected", detail=f"unknown op {edit.op!r}")
+    return EditOutcome("rejected")
 
 
 def apply_edits(

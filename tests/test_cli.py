@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,15 @@ def test_config_validation(tmp_path, capsys):
         ("eval", {"learning_rate": True}, "'learning_rate'"),
         ("eval", {"data_dir": 3}, "'data_dir'"),
         ("eval", {"ablation": "bogus"}, "unknown ablation"),
+        # count settings below their least value name the key
+        ("evolve", {"designer_cadence": 0}, "'designer_cadence'"),
+        ("evolve", {"batch": 0}, "'batch'"),
+        ("evolve", {"epochs_per_update": 0}, "'epochs_per_update'"),
+        ("evolve", {"minibatch": 0}, "'minibatch'"),
+        ("evolve", {"top_k": 0}, "'top_k'"),
+        ("eval", {"k_retrieve": 0}, "'k_retrieve'"),
+        ("train", {"inner_epochs": 0}, "'inner_epochs'"),
+        ("evolve", {"outer_epochs": -1}, "'outer_epochs'"),
     ]
     for command, raw, message in bad_values:
         cfg.write_text(json.dumps(raw))
@@ -78,6 +88,9 @@ def test_config_validation(tmp_path, capsys):
         code, _, err = _run(argv, capsys)
         assert code == 2, raw
         assert message in err, raw
+    code, _, err = _run(["evolve", "--inner", "0", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "'inner_epochs'" in err
     cfg.write_text(json.dumps({"ablation": "no-controller", "learning_rate": 1}))
     loaded = cli.load_config(str(cfg))
     assert loaded.ablation == "wo_controller"
@@ -119,6 +132,16 @@ def test_empty_split_is_a_data_error(empty, tmp_path, capsys, small_corpus):
         code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_DATA, argv
         assert f"splits.json: '{empty}' is empty" in err, argv
+
+
+def test_empty_queries_file_is_a_data_error(tmp_path, capsys, small_corpus):
+    paths = cli._data_paths(str(tmp_path))
+    datagen.save_traces(paths["traces"], small_corpus["traces"])
+    (tmp_path / "queries.jsonl").write_text("")
+    (tmp_path / "splits.json").write_text(json.dumps(small_corpus["splits"]))
+    code, _, err = _run(["eval", "--ablate", "wo_controller", "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert "queries.jsonl:1: no records" in err
 
 
 def _bank_doc(edit):
@@ -359,6 +382,53 @@ def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
         outputs.append([(out / name).read_bytes() for name in names])
     for name, one, two in zip(names, *outputs):
         assert one == two, name
+
+
+# sha256 of every file the pipeline writes at 80 traces, seed 11; a change
+# that moves output bytes on purpose records the new digests here
+PIPELINE_DIGESTS = {
+    "data/gen_summary.json": "185555d00fc6b1c22a960b01e0a0eafdbbfa0886ae05ef4d81d99fbc8df60526",
+    "data/queries.jsonl": "1edbb31a65e556c31112048c61c3c66c6dd3fbea2342f04f52d41a70f9ad0c48",
+    "data/splits.json": "e01620a1496bac68f153e0516b5f9f008ac06727e10774ee49737e52464c0e58",
+    "data/traces.jsonl": "6dcb6800a9b9505d81f1fd505ade34ed0f41ab2abed3f8275144577aa28d3ea3",
+    "full/bank.json": "3329c69ae26e0c11134b15921b2a0226034823502a511e656dc2ac960b9a1db6",
+    "full/checkpoint.npz": "78f145f80d740b071833c10097faebaabf0f4dc85ca8da7f82a07d16f55bafbc",
+    "full/eval_full.json": "cc70e9ca9aa047154310272836dbaf9599c7855cb06f506a43b95b9118b52937",
+    "full/results.json": "85867059f5d62d89d077abbb997f33d26f4bf3a653615b74c72f724952dd8a30",
+    "wo_controller/eval_wo_controller.json":
+        "020927c57f433ec0f0b0303b7845d7faa258d2dd77b194c7a328adde8a556e23",
+    "baselines/baseline_nelder_mead.json":
+        "ae86df41fca5d3f7517c10817acd37a790c7be9f434ea35ac7bdf0ea024e9508",
+    "baselines/baseline_random_search.json":
+        "e0e780481846560824d3318ed567615014c2718381dc3527647145bb5228fe2e",
+    "baselines/baseline_surrogate.json":
+        "1c5d9bb9cb2483673b98f0d8b1000c4f928fe0a9c04b5481131bc942117f0958",
+}
+
+
+def test_pipeline_bytes_match_recorded_digests(tmp_path, capsys):
+    data = tmp_path / "data"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch": 8, "data_dir": str(data)}))
+    common = ["--config", str(cfg), "--seed", "11"]
+    steps = [
+        ["gen-data", "--n-traces", "80", "--out", str(data)],
+        ["evolve", "--outer", "2", "--inner", "3", "--out", str(tmp_path / "full")],
+        ["eval", "--out", str(tmp_path / "full")],
+        ["eval", "--ablate", "wo_controller", "--out", str(tmp_path / "wo_controller")],
+    ] + [
+        ["baseline", "--kind", kind, "--out", str(tmp_path / "baselines")]
+        for kind in ("random_search", "nelder_mead", "surrogate")
+    ]
+    for argv in steps:
+        code, _, err = _run(argv + common, capsys)
+        assert code == 0, (argv, err)
+    digests = {
+        f"{d}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for d in ("data", "full", "wo_controller", "baselines")
+        for path in (tmp_path / d).iterdir()
+    }
+    assert digests == PIPELINE_DIGESTS
 
 
 def test_blas_pin_warns_without_bundled_openblas(monkeypatch, capsys):

@@ -221,6 +221,18 @@ def test_jsonl_rejects_corruption(tmp_path, small_corpus):
     with pytest.raises(datagen.CorpusFormatError, match=r"no_text\.jsonl:2: .*KeyError"):
         datagen.load_queries(no_text)
 
+    # line 1 is the header, and a file holds at least one record
+    for name, text in (
+        ("empty", ""),
+        ("blank", "\n"),
+        ("blank_then_header", "\n" + lines[0] + lines[1]),
+        ("header_only", lines[0]),
+    ):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text)
+        with pytest.raises(datagen.CorpusFormatError, match=rf"{name}\.jsonl:1: "):
+            datagen.load_traces(str(path))
+
 
 def test_family_priors_are_boxes_in_band():
     lams = set()

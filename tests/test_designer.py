@@ -76,10 +76,14 @@ def test_classify_planted_four_ways():
         [
             memory.MemoryEdit(
                 op="INSERT",
-                key=memory.MemoryKey("pitch", "n_eff", "1.55-band", "mid"),
-                kind="param_map",
-                statement="n_eff rises with pitch",
-                direction=1,
+                entry=memory.MemoryEntry(
+                    id=0,
+                    key=memory.MemoryKey("pitch", "n_eff", "1.55-band", "mid"),
+                    kind="param_map",
+                    statement="n_eff rises with pitch",
+                    direction=1,
+                    slope=0.0,
+                ),
             )
         ],
     )

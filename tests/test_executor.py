@@ -69,17 +69,17 @@ def test_insert_rule_emits_one_edit_per_moved_metric():
     )
     assert not any(e.op == "NOOP" for e in edits)  # no skip categories
     assert len(edits) == 3
-    by_metric = {e.key.metric: e for e in edits}
+    by_metric = {e.entry.key.metric: e.entry for e in edits}
     assert set(by_metric) == {"dispersion", "loss", "n_eff"}
     assert by_metric["dispersion"].direction == -1
     assert by_metric["loss"].direction == 1
     assert by_metric["n_eff"].direction == 1
     for e in edits:
         assert e.op == "INSERT"
-        assert e.kind == "param_map"
-        assert e.key.param == "pitch"
-        assert e.geom == span.geom_after.as_dict()
-        assert e.observed["miss"] == 0.0
+        assert e.entry.kind == "param_map"
+        assert e.entry.key.param == "pitch"
+        assert e.entry.geom == span.geom_after.as_dict()
+        assert e.entry.observed["miss"] == 0.0
 
 
 def test_duplicate_insert_reward_arithmetic():
@@ -92,10 +92,14 @@ def test_duplicate_insert_reward_arithmetic():
         [
             memory.MemoryEdit(
                 op="INSERT",
-                key=MemoryKey("pitch", "n_eff", ev.bucket, ev.regime),
-                kind="param_map",
-                statement="already known",
-                direction=1,
+                entry=MemoryEntry(
+                    id=0,
+                    key=MemoryKey("pitch", "n_eff", ev.bucket, ev.regime),
+                    kind="param_map",
+                    statement="already known",
+                    direction=1,
+                    slope=0.0,
+                ),
             )
         ],
     )
@@ -168,10 +172,10 @@ def test_update_rule_supports_and_halves():
     up_agree = next(e for e in edits if e.target_id == 1)
     up_disagree = next(e for e in edits if e.target_id == 2)
     assert up_agree.op == "UPDATE"
-    assert up_agree.support_count == 2
-    assert up_agree.slope == pytest.approx((-10.0 + ev.slopes["dispersion"]) / 2.0)
-    assert up_agree.confidence == pytest.approx(2.0 / 5.0)
-    assert up_disagree.confidence == pytest.approx(0.4)  # halved from 0.8
+    assert up_agree.changes["support_count"] == 2
+    assert up_agree.changes["slope"] == pytest.approx((-10.0 + ev.slopes["dispersion"]) / 2.0)
+    assert up_agree.changes["confidence"] == pytest.approx(2.0 / 5.0)
+    assert up_disagree.changes == {"confidence": pytest.approx(0.4)}  # halved from 0.8
 
 
 def test_delete_rule_contradiction_ladder():
@@ -199,7 +203,7 @@ def test_delete_rule_contradiction_ladder():
     )
     assert len(edits) == 1
     assert edits[0].op == "UPDATE"
-    assert edits[0].contradictions == 1
+    assert edits[0].changes == {"contradictions": 1}
     # second contradiction crosses theta_del and deletes, with a reason
     edits = execute(
         span=span, retrieved=[stale_entry(1)], selected=[strict], target=on_target(span)
@@ -227,11 +231,11 @@ def test_boundary_rule_fires_on_missed_target():
     boundary_skill = skills.make_catalog_skill("failure_boundary_insert", 1, 1)
     edits = execute(span=span, retrieved=[], selected=[boundary_skill], target=far)
     assert len(edits) == 1
-    edit = edits[0]
-    assert edit.op == "INSERT"
-    assert edit.kind == "boundary"
-    assert edit.key.metric == "dispersion"  # the worse-missed metric
-    assert edit.slope == pytest.approx(20.0)  # 100 / tol_D
+    assert edits[0].op == "INSERT"
+    entry = edits[0].entry
+    assert entry.kind == "boundary"
+    assert entry.key.metric == "dispersion"  # the worse-missed metric
+    assert entry.slope == pytest.approx(20.0)  # 100 / tol_D
     # on-target span produces nothing
     edits = execute(
         span=span, retrieved=[], selected=[boundary_skill], target=on_target(span)
@@ -245,7 +249,7 @@ def test_hotspot_rule_threshold():
     hi = skills.make_catalog_skill("sensitivity_hotspot_insert", 2, 1, theta=1e12)
     edits = execute(span=span, retrieved=[], selected=[lo], target=on_target(span))
     assert len(edits) == 3
-    assert all(e.kind == "hotspot" for e in edits)
+    assert all(e.entry.kind == "hotspot" for e in edits)
     edits = execute(span=span, retrieved=[], selected=[hi], target=on_target(span))
     assert edits == []
 

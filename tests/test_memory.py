@@ -14,14 +14,16 @@ def _key(param="pitch", metric="dispersion", bucket="1.55-band", regime="mid"):
 
 
 def _insert(statement, key=None, kind="param_map", **kw):
-    return MemoryEdit(
-        op="INSERT",
+    entry = MemoryEntry(
+        id=0,
         key=key or _key(),
         kind=kind,
         statement=statement,
         direction=kw.pop("direction", 1),
+        slope=kw.pop("slope", 0.0),
         **kw,
     )
+    return MemoryEdit(op="INSERT", entry=entry)
 
 
 def test_bucket_and_regime_boundaries():
@@ -49,6 +51,21 @@ def test_insert_then_duplicate():
     assert bank.next_id == 3
 
 
+def test_insert_takes_the_next_id():
+    bank = MemoryBank()
+    memory.apply_edits(bank, [_insert("a"), _insert("b", key=_key(regime="low"))])
+    edit = _insert("c", key=_key(regime="high"))
+    _, outs = memory.apply_edits(bank, [edit])
+    assert outs[0].status == "applied"
+    assert bank.entries[-1] is edit.entry
+    assert edit.entry.id == 3
+    assert bank.next_id == 4
+    # an entry of no known kind is not stored
+    _, outs = memory.apply_edits(bank, [_insert("d", kind="rumour")])
+    assert outs[0].status == "rejected"
+    assert bank.next_id == 4
+
+
 def test_update_paths():
     bank = MemoryBank()
     memory.apply_edits(bank, [_insert("pitch raises dispersion", slope=2.0)])
@@ -57,8 +74,8 @@ def test_update_paths():
     _, outs = memory.apply_edits(
         bank,
         [
-            MemoryEdit(op="UPDATE", target_id=entry.id, slope=3.0, confidence=0.8),
-            MemoryEdit(op="UPDATE", key=_key(), kind="param_map", support_count=4),
+            MemoryEdit(op="UPDATE", target_id=entry.id, changes={"slope": 3.0, "confidence": 0.8}),
+            MemoryEdit(op="UPDATE", target_id=entry.id, changes={"support_count": 4}),
             MemoryEdit(op="UPDATE", target_id=999),
         ],
     )
@@ -68,11 +85,34 @@ def test_update_paths():
     assert entry.support_count == 4
 
 
+@pytest.mark.parametrize(
+    "target_id, changes",
+    [
+        (1, {"kind": "trend"}),
+        (1, {"key": _key(regime="low")}),
+        (1, {"archived": True}),
+        (1, {"confidence": 0.9, "bogus": 1}),
+        (None, {"confidence": 0.9}),
+    ],
+)
+def test_update_rejects_fixed_or_unknown_fields_and_no_target(target_id, changes):
+    bank = MemoryBank()
+    memory.apply_edits(bank, [_insert("pitch raises dispersion")])
+    entry = bank.by_id(1)
+    before = entry.as_dict()
+    edit = MemoryEdit(op="UPDATE", target_id=target_id, changes=changes)
+    _, outs = memory.apply_edits(bank, [edit])
+    assert outs[0].status == "rejected"
+    assert entry.as_dict() == before
+
+
 def test_update_clamps_confidence():
     bank = MemoryBank()
     memory.apply_edits(bank, [_insert("x")])
     entry = bank.active()[0]
-    memory.apply_edits(bank, [MemoryEdit(op="UPDATE", target_id=entry.id, confidence=7.0)])
+    memory.apply_edits(
+        bank, [MemoryEdit(op="UPDATE", target_id=entry.id, changes={"confidence": 7.0})]
+    )
     assert entry.confidence == 1.0
 
 
@@ -83,7 +123,6 @@ def test_delete_requires_rationale_and_archives():
 
     _, outs = memory.apply_edits(bank, [MemoryEdit(op="DELETE", target_id=entry.id)])
     assert outs[0].status == "rejected"
-    assert "reason" in outs[0].detail
     assert not entry.archived
 
     _, outs = memory.apply_edits(
@@ -176,7 +215,11 @@ def test_embedding_cache_invalidated_on_statement_update():
     before = bank.embedding_of(entry).copy()
     memory.apply_edits(
         bank,
-        [MemoryEdit(op="UPDATE", target_id=entry.id, statement="rings cut loss fast")],
+        [
+            MemoryEdit(
+                op="UPDATE", target_id=entry.id, changes={"statement": "rings cut loss fast"}
+            )
+        ],
     )
     after = bank.embedding_of(entry)
     assert not np.array_equal(before, after)
