@@ -13,8 +13,6 @@ and stop mid-iteration when the cap is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import evalsuite, physics
@@ -25,6 +23,9 @@ RANDOM_BUDGET = 100
 NM_BUDGET = 135
 NM_DIAMETER_TOL = 1e-4
 SURROGATE_TRAIN_SAMPLES = 2000
+SURROGATE_EPOCHS = 200
+SURROGATE_BATCH = 128
+SURROGATE_LR = 0.01
 SURROGATE_CANDIDATES = 100
 
 DRATIO_MIN = 0.05
@@ -53,11 +54,11 @@ def random_search_query(
     return best[1], best[2]
 
 
-def _clip_x(x: np.ndarray) -> tuple[Geometry, np.ndarray]:
+def _clip_x(x: np.ndarray) -> Geometry:
     pitch = float(np.clip(x[0], physics.PITCH_MIN_UM, physics.PITCH_MAX_UM))
     r = float(np.clip(x[1], DRATIO_MIN, DRATIO_CAP))
     n = int(round(float(np.clip(x[2], physics.N_RINGS_MIN, physics.N_RINGS_MAX))))
-    return Geometry(pitch, pitch * r, n), np.array([pitch, r, float(n)])
+    return Geometry(pitch, pitch * r, n)
 
 
 def nelder_mead_query(
@@ -71,7 +72,7 @@ def nelder_mead_query(
         if budget[0] <= 0:
             return np.inf
         budget[0] -= 1
-        geom, _ = _clip_x(x)
+        geom = _clip_x(x)
         res = physics.simulate(geom, target.lambda_um, counter)
         val = 1.0 - physics.quality(res, target)
         if best[0] is None or val < best[0][0]:
@@ -145,19 +146,13 @@ def _features(pitch: float, r: float, n: float, lam: float) -> np.ndarray:
     )
 
 
-@dataclass
-class _BNLayer:
-    gamma: np.ndarray
-    beta: np.ndarray
-    run_mean: np.ndarray
-    run_var: np.ndarray
-
-
 class SurrogateModel:
     """4 hidden layers (linear + batch norm + relu) and a linear head.
 
     Predicts (n_eff, log10 loss, standardized dispersion). Trained with
-    plain minibatch SGD with momentum on mean squared error.
+    plain minibatch SGD with momentum on mean squared error. ``params``
+    holds w, b, gamma, beta of each hidden layer, then the head's w, b;
+    ``running`` holds each hidden layer's batch-norm mean and variance.
     """
 
     HIDDEN = 64
@@ -166,121 +161,70 @@ class SurrogateModel:
 
     def __init__(self, rng: np.random.Generator):
         sizes = [4] + [self.HIDDEN] * 4
-        self.weights = []
-        self.biases = []
-        self.bn = []
-        for i in range(4):
-            fan_in = sizes[i]
-            self.weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, sizes[i + 1])))
-            self.biases.append(np.zeros(sizes[i + 1]))
-            self.bn.append(
-                _BNLayer(
-                    gamma=np.ones(sizes[i + 1]),
-                    beta=np.zeros(sizes[i + 1]),
-                    run_mean=np.zeros(sizes[i + 1]),
-                    run_var=np.ones(sizes[i + 1]),
-                )
-            )
-        self.w_out = rng.normal(0.0, 1.0 / np.sqrt(self.HIDDEN), (self.HIDDEN, 3))
-        self.b_out = np.zeros(3)
+        self.params = []
+        self.running = []
+        for fan_in, width in zip(sizes, sizes[1:]):
+            w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, width))
+            self.params += [w, np.zeros(width), np.ones(width), np.zeros(width)]
+            self.running.append([np.zeros(width), np.ones(width)])
+        self.params += [rng.normal(0.0, 1.0 / np.sqrt(self.HIDDEN), (self.HIDDEN, 3)), np.zeros(3)]
         self.y_mean = np.zeros(3)
         self.y_std = np.ones(3)
 
     def _forward(self, x: np.ndarray, train: bool):
         caches = []
         h = x
-        for i in range(4):
-            z = h @ self.weights[i] + self.biases[i]
-            bn = self.bn[i]
+        for i, stats in enumerate(self.running):
+            w, b, gamma, beta = self.params[4 * i : 4 * i + 4]
+            z = h @ w + b
             if train:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
-                bn.run_mean = (1 - self.MOMENTUM) * bn.run_mean + self.MOMENTUM * mu
-                bn.run_var = (1 - self.MOMENTUM) * bn.run_var + self.MOMENTUM * var
+                mu, var = z.mean(axis=0), z.var(axis=0)
+                stats[0] = (1 - self.MOMENTUM) * stats[0] + self.MOMENTUM * mu
+                stats[1] = (1 - self.MOMENTUM) * stats[1] + self.MOMENTUM * var
             else:
-                mu, var = bn.run_mean, bn.run_var
+                mu, var = stats
             inv = 1.0 / np.sqrt(var + self.EPS)
             zhat = (z - mu) * inv
-            y = bn.gamma * zhat + bn.beta
-            a = np.maximum(y, 0.0)
-            caches.append((h, z, zhat, inv, a))
+            a = np.maximum(gamma * zhat + beta, 0.0)
+            caches.append((h, zhat, inv, a))
             h = a
-        out = h @ self.w_out + self.b_out
-        return out, caches
+        w_out, b_out = self.params[-2:]
+        return h @ w_out + b_out, caches
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Physical-scale predictions (n_eff, log10 loss, dispersion)."""
         out, _ = self._forward(np.atleast_2d(x), train=False)
         return out * self.y_std + self.y_mean
 
-    def train(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        rng: np.random.Generator,
-        epochs: int = 200,
-        batch: int = 128,
-        lr: float = 0.01,
-    ) -> float:
+    def train(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
         n = x.shape[0]
-        mom_w = [np.zeros_like(w) for w in self.weights]
-        mom_b = [np.zeros_like(b) for b in self.biases]
-        mom_g = [np.zeros_like(l.gamma) for l in self.bn]
-        mom_be = [np.zeros_like(l.beta) for l in self.bn]
-        mom_wo = np.zeros_like(self.w_out)
-        mom_bo = np.zeros_like(self.b_out)
-        last = np.inf
-        for _ in range(epochs):
+        velocity = [np.zeros_like(p) for p in self.params]
+        for _ in range(SURROGATE_EPOCHS):
             perm = rng.permutation(n)
-            for s in range(0, n, batch):
-                idx = perm[s : s + batch]
+            for s in range(0, n, SURROGATE_BATCH):
+                idx = perm[s : s + SURROGATE_BATCH]
                 if len(idx) < 2:
                     continue
-                xb, yb = x[idx], y[idx]
-                out, caches = self._forward(xb, train=True)
-                diff = out - yb
-                last = float(np.mean(diff**2))
+                out, caches = self._forward(x[idx], train=True)
                 m = len(idx)
-                d_out = 2.0 * diff / (m * 3)
-                g_wo = caches[-1][4].T @ d_out
-                g_bo = d_out.sum(axis=0)
-                d_h = d_out @ self.w_out.T
-                grads = []
-                for i in range(3, -1, -1):
-                    h_in, z, zhat, inv, a = caches[i]
+                d_out = 2.0 * (out - y[idx]) / (m * 3)
+                grads = [None] * len(self.params)
+                grads[-2:] = [caches[-1][3].T @ d_out, d_out.sum(axis=0)]
+                d_h = d_out @ self.params[-2].T
+                for i, (h_in, zhat, inv, a) in reversed(list(enumerate(caches))):
                     d_y = d_h * (a > 0)
-                    g_gamma = (d_y * zhat).sum(axis=0)
-                    g_beta = d_y.sum(axis=0)
-                    d_zhat = d_y * self.bn[i].gamma
-                    d_z = (
-                        inv
-                        / m
-                        * (
-                            m * d_zhat
-                            - d_zhat.sum(axis=0)
-                            - zhat * (d_zhat * zhat).sum(axis=0)
-                        )
+                    d_zhat = d_y * self.params[4 * i + 2]
+                    d_z = inv / m * (
+                        m * d_zhat - d_zhat.sum(axis=0) - zhat * (d_zhat * zhat).sum(axis=0)
                     )
-                    g_w = h_in.T @ d_z
-                    g_b = d_z.sum(axis=0)
-                    d_h = d_z @ self.weights[i].T
-                    grads.append((g_w, g_b, g_gamma, g_beta))
-                grads.reverse()
-                for i in range(4):
-                    g_w, g_b, g_gamma, g_beta = grads[i]
-                    mom_w[i] = 0.9 * mom_w[i] - lr * g_w
-                    mom_b[i] = 0.9 * mom_b[i] - lr * g_b
-                    mom_g[i] = 0.9 * mom_g[i] - lr * g_gamma
-                    mom_be[i] = 0.9 * mom_be[i] - lr * g_beta
-                    self.weights[i] += mom_w[i]
-                    self.biases[i] += mom_b[i]
-                    self.bn[i].gamma += mom_g[i]
-                    self.bn[i].beta += mom_be[i]
-                mom_wo = 0.9 * mom_wo - lr * g_wo
-                mom_bo = 0.9 * mom_bo - lr * g_bo
-                self.w_out += mom_wo
-                self.b_out += mom_bo
-        return last
+                    grads[4 * i : 4 * i + 4] = [
+                        h_in.T @ d_z, d_z.sum(axis=0), (d_y * zhat).sum(axis=0), d_y.sum(axis=0)
+                    ]
+                    d_h = d_z @ self.params[4 * i].T
+                for p, v, g in zip(self.params, velocity, grads):
+                    v *= 0.9
+                    v -= SURROGATE_LR * g
+                    p += v
 
 
 def train_surrogate(

@@ -71,8 +71,7 @@ class RunConfig(trainer.PPOConfig):
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise CorpusFormatError("config must be a JSON object")
     # retired key that existing configs still carry: eval runs in one process
@@ -122,6 +121,15 @@ def _canonical_ablation(name: str) -> str:
     return norm
 
 
+def _read_json(path: str):
+    """The JSON value in ``path``; a parse error is a data error that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
     clean = {k: v for k, v in payload.items() if not k.startswith("_")}
     with open(path, "w", encoding="utf-8") as fh:
@@ -145,8 +153,7 @@ def _load_corpus(data_dir: str):
             raise CorpusFormatError(f"missing corpus file: {p}")
     traces = datagen.load_traces(paths["traces"])
     queries = datagen.load_queries(paths["queries"])
-    with open(paths["splits"], encoding="utf-8") as fh:
-        splits = json.load(fh)
+    splits = _read_json(paths["splits"])
     by_id = {t.id: t for t in traces}
     for name in ("train", "val", "test"):
         ids = splits.get(name) if isinstance(splits, dict) else None
@@ -166,8 +173,7 @@ def _read_results(out: str) -> dict:
     path = os.path.join(out, "results.json")
     if not os.path.exists(path):
         return {}
-    with open(path, encoding="utf-8") as fh:
-        results = json.load(fh)
+    results = _read_json(path)
     if not isinstance(results, dict):
         raise CorpusFormatError(f"{path} must hold a JSON object")
     return results
@@ -204,9 +210,7 @@ def cmd_gen_data(cfg: RunConfig, out: str) -> int:
     paths = _data_paths(out)
     datagen.save_traces(paths["traces"], traces)
     datagen.save_queries(paths["queries"], queries)
-    with open(paths["splits"], "w", encoding="utf-8") as fh:
-        json.dump(splits, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(paths["splits"], splits)
     spans = [len(t.spans) for t in traces]
     summary = {
         "n_traces": len(traces),
@@ -336,9 +340,13 @@ def cmd_report(out: str) -> int:
         glob.glob(os.path.join(out, "eval_*.json"))
         + glob.glob(os.path.join(out, "baseline_*.json"))
     ):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        row = {"method": payload["method"]}
+        payload = _read_json(path)
+        method = payload.get("method") if isinstance(payload, dict) else None
+        if not (isinstance(method, str) and isinstance(payload.get("report"), dict)):
+            raise CorpusFormatError(
+                f"{path} must hold an object with a string 'method' and an object 'report'"
+            )
+        row = {"method": method}
         row.update(payload["report"])
         rows.append(row)
     rows.sort(key=lambda r: r["method"])
@@ -357,6 +365,10 @@ def cmd_report(out: str) -> int:
 
 def cmd_sweep(cfg: RunConfig, out: str) -> int:
     """One-axis-at-a-time grid; each cell is a full run plus test eval."""
+    if cfg.ablation != "full":
+        raise CorpusFormatError(
+            f"config key 'ablation' must be 'full' for sweep, got {cfg.ablation!r}"
+        )
     data_dir = cfg.data_dir or out
     traces_by_id, queries, splits = _load_corpus(data_dir)
     test_traces = [traces_by_id[i] for i in splits["test"]]

@@ -302,12 +302,12 @@ def miss(result: SimResult, target: TargetSpec) -> float:
     return max(target_errors(result, target))
 
 
-def quality(result: SimResult, target: TargetSpec, eps: float = 1e-9) -> float:
+def quality(result: SimResult, target: TargetSpec) -> float:
     """Graded closeness in (0, 1]: 1 / (1 + normalized miss)."""
     err = max(
         abs(result.dispersion_ps_nm_km - target.dispersion_ps_nm_km)
-        / (target.tol_dispersion + eps),
-        abs(result.loss_db_km - target.loss_db_km) / (target.tol_loss + eps),
+        / (target.tol_dispersion + 1e-9),
+        abs(result.loss_db_km - target.loss_db_km) / (target.tol_loss + 1e-9),
     )
     return 1.0 / (1.0 + err)
 

@@ -1,5 +1,7 @@
 """Reference optimizers: call budgets and the shared evaluation harness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,40 @@ def surrogate_model(small_corpus, traces_by_id):
 def test_surrogate_training_budget(surrogate_model):
     _, training_calls = surrogate_model
     assert training_calls == baselines.SURROGATE_TRAIN_SAMPLES == 2000
+
+
+# sha256 of the surrogate trained at master seed 6 on the small corpus: its
+# trained arrays, running statistics and y scaling, then predict on fixed inputs
+SURROGATE_DIGEST = "5c72e126c8d34beaeed1a11dc37a40b6174f0e8164969ec6ba60662599cb53e3"
+
+
+def _arrays(obj):
+    """Every array the model holds, in whatever structure it keeps them."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from _arrays(value)
+
+
+def test_surrogate_keeps_its_recorded_bits(surrogate_model):
+    # the argmin picks in baseline_surrogate.json can hide a last-bit change
+    model, _ = surrogate_model
+    arrays = list(_arrays(model))
+    # per layer w, b, gamma, beta and two running statistics; the head's w, b;
+    # y_mean and y_std
+    assert len(arrays) == 4 * 6 + 2 + 2
+    # one digest per array, sorted, so moving an array between fields moves nothing
+    parts = sorted(
+        hashlib.sha256(f"{a.dtype}{a.shape}".encode() + a.tobytes()).hexdigest()
+        for a in arrays
+    )
+    x = np.random.default_rng(9).uniform(0.0, 1.0, (50, 4))
+    parts.append(hashlib.sha256(model.predict(x).tobytes()).hexdigest())
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == SURROGATE_DIGEST
 
 
 def test_surrogate_query_costs_one_call(surrogate_model):

@@ -56,6 +56,13 @@ def test_config_validation(tmp_path, capsys):
     )
     assert code == 2
     assert "JSON object" in err
+    # text that does not parse names the file it came from
+    cfg.write_text("{seed: 1}")
+    code, _, err = _run(
+        ["gen-data", "--config", str(cfg), "--out", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert f"data error: {cfg}: " in err
     # the retired key is accepted only with the one value eval supports
     cfg.write_text(json.dumps({"workers": 2}))
     code, _, err = _run(
@@ -100,9 +107,10 @@ def test_config_validation(tmp_path, capsys):
 MALFORMED_SPLITS = {
     "unknown_test_id": (
         ["eval", "--ablate", "wo_controller"],
-        lambda s: dict(s, test=s["test"] + ["t99999"]),
+        lambda s: json.dumps(dict(s, test=s["test"] + ["t99999"])),
     ),
-    "array": (["baseline", "--kind", "random_search"], lambda s: []),
+    "array": (["baseline", "--kind", "random_search"], lambda s: "[]"),
+    "not_json": (["evolve", "--outer", "1", "--inner", "1"], lambda s: json.dumps(s)[:-1]),
 }
 
 
@@ -112,10 +120,10 @@ def test_malformed_splits_is_a_data_error(name, tmp_path, capsys, small_corpus):
     paths = cli._data_paths(str(tmp_path))
     datagen.save_traces(paths["traces"], small_corpus["traces"])
     datagen.save_queries(paths["queries"], small_corpus["queries"])
-    (tmp_path / "splits.json").write_text(json.dumps(edit(small_corpus["splits"])))
+    (tmp_path / "splits.json").write_text(edit(small_corpus["splits"]))
     code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
     assert code == cli.EXIT_DATA
-    assert "splits.json" in err
+    assert f"data error: {tmp_path / 'splits.json'}" in err
 
 
 @pytest.mark.parametrize("empty", ["train", "val", "test"])
@@ -261,6 +269,15 @@ def test_report_keeps_the_training_report(tmp_path, capsys):
     assert "JSON object" in err
 
 
+@pytest.mark.parametrize("text", ['{"rows": []}', "[1]", '{"method": 3, "report": {}}', "{"])
+def test_report_rejects_a_malformed_result_file(text, tmp_path, capsys):
+    (tmp_path / "eval_full.json").write_text(text)
+    code, _, err = _run(["report", "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert str(tmp_path / "eval_full.json") in err
+    assert not (tmp_path / "results.json").exists()
+
+
 def test_canonical_ablation_names():
     assert cli._canonical_ablation("full") == "full"
     assert cli._canonical_ablation("wo-controller") == "wo_controller"
@@ -332,6 +349,24 @@ def test_sweep_writes_one_cell_per_axis_value(tmp_path, capsys):
         (axis, value) for axis, values in cli.SWEEP_AXES.items() for value in values
     ]
     assert len(cells) == 18
+
+
+def test_sweep_refuses_an_ablation_it_would_not_run(tmp_path, capsys, small_corpus):
+    # every cell trains and evaluates the full method
+    paths = cli._data_paths(str(tmp_path))
+    datagen.save_traces(paths["traces"], small_corpus["traces"])
+    datagen.save_queries(paths["queries"], small_corpus["queries"])
+    (tmp_path / "splits.json").write_text(json.dumps(small_corpus["splits"]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch": 2, "ablation": "wo_controller"}))
+    code, _, err = _run(
+        ["sweep", "--config", str(cfg), "--outer", "1", "--inner", "1",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == cli.EXIT_DATA
+    assert "'ablation'" in err
+    assert not (tmp_path / "sweep.json").exists()
 
 
 def test_run_directory_holds_one_ablation(tmp_path, capsys):
