@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import evalsuite, physics
+from . import designer, evalsuite, physics
 from .datagen import Query, Trace
 from .physics import CallCounter, Geometry, SimResult, TargetSpec
 
@@ -318,9 +318,9 @@ def run_baseline(
             geom, res, _ = nelder_mead_query(target, counter, rng)
         else:
             geom, res = surrogate_query(model, target, counter, rng)
-        row = evalsuite.design_row(q, geom, res)
-        row["calls"] = counter.per_query_calls
-        rows.append(row)
+        attempt = designer.DesignAttempt(geom, res, target, [])
+        answer = evalsuite.score_design(q, attempt, counter.per_query_calls)
+        rows.append(evalsuite.answer_row(q, answer))
     return {
         "rows": rows,
         "total_calls": counter.total_calls,

@@ -155,6 +155,7 @@ def _load_corpus(data_dir: str):
     queries = datagen.load_queries(paths["queries"])
     splits = _read_json(paths["splits"])
     by_id = {t.id: t for t in traces}
+    split_of: dict[str, str] = {}
     for name in ("train", "val", "test"):
         ids = splits.get(name) if isinstance(splits, dict) else None
         if not (isinstance(ids, list) and all(isinstance(i, str) and i in by_id for i in ids)):
@@ -165,6 +166,12 @@ def _load_corpus(data_dir: str):
         # and accept every proposal
         if not ids:
             raise CorpusFormatError(f"{paths['splits']}: {name!r} is empty")
+        for i in ids:
+            if i in split_of:
+                raise CorpusFormatError(
+                    f"{paths['splits']}: id {i!r} is listed in {split_of[i]!r} and in {name!r}"
+                )
+            split_of[i] = name
     return by_id, queries, splits
 
 
@@ -270,8 +277,11 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
     ckpt = os.path.join(out, "checkpoint.npz")
     bank_path = os.path.join(out, "bank.json")
     if os.path.exists(bank_path):
-        with open(bank_path, encoding="utf-8") as fh:
-            bank = skills.bank_from_json(fh.read())
+        try:
+            with open(bank_path, encoding="utf-8") as fh:
+                bank = skills.bank_from_json(fh.read())
+        except ValueError as exc:  # undecodable, not JSON, or not a skill bank
+            raise CorpusFormatError(f"{bank_path}: {exc}") from None
     else:
         bank = skills.initial_bank()
     mode = "greedy"

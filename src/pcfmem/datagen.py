@@ -11,7 +11,7 @@ All generation-phase env calls go to a dedicated counter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,10 +90,13 @@ class Span:
 
 
 def span_from_dict(d: dict) -> Span:
+    param = d["edit"]["param"]
+    if param not in physics.PARAMS:
+        raise ValueError(f"edit param {param!r} is not one of {', '.join(physics.PARAMS)}")
     return Span(
         index=int(d["index"]),
         text=d["text"],
-        param=d["edit"]["param"],
+        param=param,
         old_value=float(d["edit"]["old_value"]),
         new_value=float(d["edit"]["new_value"]),
         geom_before=physics.geometry_from_dict(d["geom_before"]),
@@ -591,14 +594,15 @@ def _write_jsonl(path: str, fmt: str, records: list[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path: str, fmt: str, build: Callable[[dict], object]) -> list:
+def _read_jsonl(path: str, fmt: str, build: Callable[[dict], Trace | Query]) -> list:
     """Check the format header on line 1, then ``build`` one record per line.
 
-    A file without the header or without records, or a record ``build``
-    cannot read (missing field, wrong type or value), raises
-    CorpusFormatError naming the file and line.
+    A file without the header or without records, a record ``build``
+    cannot read (missing field, wrong type or value), or a record whose id
+    an earlier line holds raises CorpusFormatError naming the file and line.
     """
     records = []
+    id_lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -617,11 +621,17 @@ def _read_jsonl(path: str, fmt: str, build: Callable[[dict], object]) -> list:
                     )
                 continue
             try:
-                records.append(build(doc))
+                rec = build(doc)
+                first = id_lines.setdefault(rec.id, lineno)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: bad record: {type(exc).__name__}: {exc}"
                 ) from exc
+            if first != lineno:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: repeated id {rec.id!r}, first on line {first}"
+                )
+            records.append(rec)
     if not records:
         raise CorpusFormatError(f"{path}:1: no records")
     return records

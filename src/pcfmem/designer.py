@@ -17,13 +17,6 @@ import numpy as np
 from . import memory, physics, skills
 from .physics import CallCounter
 
-FAILURE_ORDER = (
-    "wrong_trend",
-    "missing_constraint",
-    "outdated_knowledge",
-    "spurious_memory",
-)
-
 BUFFER_CAPACITY = 256
 TOP_CLUSTERS = 2
 THETA_SIG_CAP = 2.0
@@ -51,39 +44,42 @@ class FailureBuffer:
         return len(self.cases)
 
 
-def classify_failure(
-    proposal: dict,
-    retrieved: list[dict],
-    target: dict,
-    counter: CallCounter,
-) -> str:
+@dataclass(frozen=True)
+class DesignAttempt:
+    """A verified design proposal and the memory it was drawn from.
+
+    ``retrieved`` holds the answering bank's own entries, in citation order;
+    an episode's bank is not edited once its rollout ends.
+    """
+
+    geom: physics.Geometry
+    sim: physics.SimResult
+    target: physics.TargetSpec
+    retrieved: list[memory.MemoryEntry]
+
+
+def classify_failure(attempt: DesignAttempt, counter: CallCounter) -> str:
     """Order: wrong_trend, missing_constraint, outdated, spurious (fallback).
 
     wrong_trend probes the env's finite-difference sign at the proposal and
     charges the probe calls to the given (designer-phase) counter.
     """
-    geom = physics.geometry_from_dict(proposal)
-    lam = float(target["lambda_um"])
+    retrieved = attempt.retrieved
     for e in retrieved:
-        if e.get("kind") not in ("trend", "param_map"):
+        if e.kind not in ("trend", "param_map") or e.direction == 0:
             continue
-        direction = int(e.get("direction", 0))
-        if direction == 0:
-            continue
-        key = e.get("key", {})
         try:
-            sign = physics.metric_sign(geom, key["param"], key["metric"], lam, counter)
-        except (physics.InvalidGeometry, physics.BandError, KeyError):
+            sign = physics.metric_sign(
+                attempt.geom, e.key.param, e.key.metric, attempt.target.lambda_um, counter
+            )
+        except (physics.InvalidGeometry, physics.BandError):
             continue
-        if sign != 0 and direction != sign:
+        if sign != 0 and e.direction != sign:
             return "wrong_trend"
-    has_constraint = any(e.get("kind") in ("constraint", "boundary") for e in retrieved)
-    if not has_constraint:
+    if not any(e.kind in ("constraint", "boundary") for e in retrieved):
         return "missing_constraint"
-    if retrieved:
-        decisive = retrieved[0]
-        if int(decisive.get("contradictions", 0)) >= 2:
-            return "outdated_knowledge"
+    if retrieved and retrieved[0].contradictions >= 2:
+        return "outdated_knowledge"
     return "spurious_memory"
 
 
@@ -118,27 +114,13 @@ def classify_planted(entry: dict, bank: memory.MemoryBank) -> str:
     return "spurious_memory"
 
 
-def collect_failures(query_records: list[dict], counter: CallCounter) -> FailureBuffer:
-    """Harvest failed design verifications from rollout query records.
-
-    Each record needs: qtype, passed, proposal, sim, target, retrieved (list
-    of entry dicts, citation order).
-    """
+def collect_failures(attempts: list[DesignAttempt], counter: CallCounter) -> FailureBuffer:
+    """Classify failed design verifications from training rollouts, in order."""
     buf = FailureBuffer()
-    for rec in query_records:
-        if rec.get("qtype") != "parameter_adjustment" or rec.get("passed"):
-            continue
-        proposal = rec.get("proposal")
-        sim = rec.get("sim")
-        if proposal is None or sim is None:
-            continue
-        target = rec["target"]
-        errors = physics.target_errors(
-            physics.sim_from_dict(sim), physics.target_from_dict(target)
-        )
-        ftype = classify_failure(proposal, rec.get("retrieved", []), target, counter)
-        dratio = proposal["hole_d_um"] / proposal["pitch_um"]
-        buf.add(FailureCase(ftype, memory.dratio_regime(dratio), max(errors)))
+    for a in attempts:
+        ftype = classify_failure(a, counter)
+        regime = memory.dratio_regime(a.geom.dratio)
+        buf.add(FailureCase(ftype, regime, physics.miss(a.sim, a.target)))
     return buf
 
 
@@ -171,67 +153,45 @@ def cluster_failures(buf: FailureBuffer) -> list[FailureCluster]:
     return clusters
 
 
-def _next_skill(bank: skills.SkillBank, name: str, epoch: int, theta=None) -> skills.Skill:
-    return skills.make_catalog_skill(name, skills.next_version(bank, name), epoch, theta)
-
-
 def _find_template(bank: skills.SkillBank, template_id: str) -> Optional[skills.Skill]:
-    for s in bank.skills:
-        if s.template_id == template_id:
-            return s
-    return None
+    return next((s for s in bank.skills if s.template_id == template_id), None)
 
 
 def _change_for_cluster(
     bank: skills.SkillBank, ftype: str, epoch: int, pending: list[skills.BankChange]
 ) -> Optional[skills.BankChange]:
-    pending_ids = {c.skill.id for c in pending if c.skill is not None}
-    pending_targets = {c.target_id for c in pending if c.target_id is not None}
+    """The catalog change that answers a failure mode, or None when the bank
+    already has it or a pending change touches the same skill."""
+
+    def replace(cur: skills.Skill, name: str, theta=None) -> Optional[skills.BankChange]:
+        if any(c.target_id == cur.id for c in pending):
+            return None
+        sk = skills.make_catalog_skill(name, skills.next_version(bank, name), epoch, theta)
+        return skills.BankChange(op="replace", target_id=cur.id, skill=sk)
+
+    def add(name: str, theta=None) -> Optional[skills.BankChange]:
+        sk = skills.make_catalog_skill(name, skills.next_version(bank, name), epoch, theta)
+        if any(c.skill is not None and c.skill.id == sk.id for c in pending):
+            return None
+        return skills.BankChange(op="add", skill=sk)
 
     if ftype == "wrong_trend":
         cur = _find_template(bank, "update_trend")
-        if cur is None or cur.params.get("regime_aware") or cur.id in pending_targets:
-            return None
-        return skills.BankChange(
-            op="replace",
-            target_id=cur.id,
-            skill=_next_skill(bank, "regime_aware_update", epoch),
-        )
-    if ftype == "missing_constraint":
-        if _find_template(bank, "insert_boundary") is not None:
-            return None
-        sk = _next_skill(bank, "failure_boundary_insert", epoch)
-        if sk.id in pending_ids:
-            return None
-        return skills.BankChange(op="add", skill=sk)
-    if ftype == "outdated_knowledge":
+        if cur is not None and not cur.params["regime_aware"]:
+            return replace(cur, "regime_aware_update")
+    elif ftype == "missing_constraint":
+        if _find_template(bank, "insert_boundary") is None:
+            return add("failure_boundary_insert")
+    elif ftype == "outdated_knowledge":
         cur = _find_template(bank, "delete_invalid")
-        if cur is None or int(cur.params.get("theta_del", 1)) >= 2:
-            return None
-        if cur.id in pending_targets:
-            return None
-        return skills.BankChange(
-            op="replace",
-            target_id=cur.id,
-            skill=_next_skill(bank, "cross_verified_delete", epoch, theta=2),
-        )
-    if ftype == "spurious_memory":
+        if cur is not None and int(cur.params["theta_del"]) < 2:
+            return replace(cur, "cross_verified_delete", theta=2)
+    elif ftype == "spurious_memory":
         cur = _find_template(bank, "insert_param_map")
-        if cur is not None and float(cur.params.get("theta_sig", 0.0)) < THETA_SIG_CAP:
-            if cur.id in pending_targets:
-                return None
-            theta = float(cur.params.get("theta_sig", 0.0)) + 0.5
-            return skills.BankChange(
-                op="replace",
-                target_id=cur.id,
-                skill=_next_skill(bank, "evidence_gated_insert", epoch, theta=theta),
-            )
+        if cur is not None and float(cur.params["theta_sig"]) < THETA_SIG_CAP:
+            return replace(cur, "evidence_gated_insert", float(cur.params["theta_sig"]) + 0.5)
         if sum(1 for s in bank.skills if s.action_type == "NOOP") < 2:
-            sk = _next_skill(bank, "noise_threshold_skip", epoch, theta=0.5)
-            if sk.id in pending_ids:
-                return None
-            return skills.BankChange(op="add", skill=sk)
-        return None
+            return add("noise_threshold_skip", theta=0.5)
     return None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,15 +68,13 @@ def concept_coverage(pred: str) -> float:
     return hit / len(CONCEPT_FORMS)
 
 
-def param_accuracy(pred_geom: Optional[dict], true_geom: dict) -> float:
+def param_accuracy(pred: Geometry, true_geom: dict) -> float:
+    """Share of pitch, hole diameter and ring count within 10% of the reference."""
     keys = ("pitch_um", "hole_d_um", "n_rings")
-    if pred_geom is None:
-        return 0.0
     hits = 0
     for k in keys:
-        a = pred_geom.get(k)
         b = float(true_geom[k])
-        if a is not None and abs(float(a) - b) < 0.1 * abs(b):
+        if abs(getattr(pred, k) - b) < 0.1 * abs(b):
             hits += 1
     return hits / len(keys)
 
@@ -99,36 +98,46 @@ def _clamp_geometry(pitch: float, hole_d: float, rings: float) -> Geometry:
     return Geometry(pitch, hole_d, n)
 
 
-def answer_row(query: Query, text: str, passed: bool, **rates) -> dict:
-    """The row every answerer and baseline returns for ``query``.
+@dataclass(frozen=True)
+class Answer:
+    """The verdict on one query: the rate columns that apply, the env calls
+    charged to it, and for parameter_adjustment the verified design."""
 
-    Rate columns not given are None; F1 scores ``text`` against the
-    reference answer.
-    """
+    passed: bool
+    text: str
+    rates: dict
+    calls: int = 0
+    attempt: Optional[designer.DesignAttempt] = None
+
+
+def answer_row(query: Query, answer: Answer) -> dict:
+    """The output row of ``answer``: rate columns that do not apply are None,
+    and F1 scores the answer text against the reference answer."""
     row = dict.fromkeys(RATE_COLUMNS)
-    row.update(rates, f1=token_f1(text, query.answer_text), answer_text=text, passed=passed)
+    row.update(answer.rates, f1=token_f1(answer.text, query.answer_text))
+    row.update(answer_text=answer.text, passed=answer.passed, calls=answer.calls)
     row.update(query_id=query.id, trace_id=query.trace_ids[0], qtype=query.qtype)
     return row
 
 
-def design_row(query: Query, geom: Geometry, res: SimResult) -> dict:
+def score_design(query: Query, attempt: designer.DesignAttempt, calls: int) -> Answer:
     """Score a proposed geometry for a parameter_adjustment query.
 
-    The agent and every baseline build their row here, so both are judged on
-    the same success, quality and parameter-accuracy columns.
+    The agent and every baseline are scored here, so both are judged on the
+    same success, quality and parameter-accuracy columns.
     """
-    gt = query.ground_truth
-    target = physics.target_from_dict(gt["target"])
-    ok, qual = success_quality(res, target)
+    geom, res = attempt.geom, attempt.sim
+    ok, qual = success_quality(res, attempt.target)
     text = datagen.design_answer(
-        geom, res.dispersion_ps_nm_km, res.loss_db_km, target.lambda_um
+        geom, res.dispersion_ps_nm_km, res.loss_db_km, attempt.target.lambda_um
     )
     hit = 1.0 if ok else 0.0
-    param = param_accuracy(geom.as_dict(), gt["reference_geometry"])
-    return answer_row(query, text, ok, param=param, succ=hit, qual=qual, phys=hit)
+    param = param_accuracy(geom, query.ground_truth["reference_geometry"])
+    rates = {"param": param, "succ": hit, "qual": qual, "phys": hit}
+    return Answer(ok, text, rates, calls, attempt)
 
 
-def _answer_trend(query: Query, retrieved: list[memory.MemoryEntry]) -> dict:
+def _answer_trend(query: Query, retrieved: list[memory.MemoryEntry]) -> Answer:
     gt = query.ground_truth
     votes = 0
     for e in retrieved:
@@ -147,7 +156,7 @@ def _answer_trend(query: Query, retrieved: list[memory.MemoryEntry]) -> dict:
         text = f"{gt['metric']} will {word} when {gt['param']} increases"
     passed = sign == int(gt["direction"])
     hit = 1.0 if passed else 0.0
-    return answer_row(query, text, passed, trend=hit, phys=hit)
+    return Answer(passed, text, {"trend": hit, "phys": hit})
 
 
 def _slope_entries(entries: list[memory.MemoryEntry], metric: str):
@@ -162,7 +171,7 @@ def _slope_entries(entries: list[memory.MemoryEntry], metric: str):
 
 def _answer_param(
     query: Query, retrieved: list[memory.MemoryEntry], counter: CallCounter
-) -> dict:
+) -> Answer:
     gt = query.ground_truth
     target = physics.target_from_dict(gt["target"])
     best = None
@@ -196,13 +205,11 @@ def _answer_param(
         geom = _clamp_geometry(2.0, 1.0, 6)
 
     res = physics.simulate(geom, target.lambda_um, counter)
-    row = design_row(query, geom, res)
-    row.update(proposal=geom.as_dict(), sim=res.as_dict(), target=gt["target"])
-    row["retrieved"] = [e.as_dict() for e in retrieved]
-    return row
+    attempt = designer.DesignAttempt(geom, res, target, retrieved)
+    return score_design(query, attempt, counter.per_query_calls)
 
 
-def _answer_reasoning(query: Query, retrieved: list[memory.MemoryEntry]) -> dict:
+def _answer_reasoning(query: Query, retrieved: list[memory.MemoryEntry]) -> Answer:
     parts = [e.statement for e in retrieved]
     tokens = embed.tokenize(query.text)
     context = "the design targets dispersion and loss at wavelength"
@@ -212,20 +219,20 @@ def _answer_reasoning(query: Query, retrieved: list[memory.MemoryEntry]) -> dict
         context += " " + " ".join(lead + ["um"])
     text = "; ".join(parts + [context])
     design = concept_coverage(text)
-    return answer_row(query, text, design >= 0.5, design=design)
+    return Answer(design >= 0.5, text, {"design": design})
 
 
-def _answer_failure(bank: memory.MemoryBank, query: Query) -> dict:
+def _answer_failure(bank: memory.MemoryBank, query: Query) -> Answer:
     gt = query.ground_truth
     pred = designer.classify_planted(gt["planted_entry"], bank)
     text = f"the note is a {pred.replace('_', ' ')}"
     passed = pred == gt["failure_type"]
-    return answer_row(query, text, passed, phys=1.0 if passed else 0.0)
+    return Answer(passed, text, {"phys": 1.0 if passed else 0.0})
 
 
 def answer_query(
     bank: memory.MemoryBank, query: Query, counter: CallCounter, texts: embed.TextVectors
-) -> dict:
+) -> Answer:
     """Answer one query from a trace's memory bank.
 
     failure_analysis reads the bank directly; the other types answer from
@@ -250,19 +257,14 @@ def episode_queries(
     queries: list[Query],
     counter: CallCounter,
     texts: embed.TextVectors,
-) -> tuple[float, list[dict]]:
-    """Answer a trace's queries; return (fraction passed, per-query rows)."""
-    rows = []
-    passed = 0
+) -> tuple[float, list[tuple[Query, Answer]]]:
+    """Answer a trace's queries by id; return (fraction passed, (query, answer) pairs)."""
+    answered = []
     for q in sorted(queries, key=lambda q: q.id):
         counter.begin_query()
-        row = answer_query(mem_bank, q, counter, texts)
-        row["calls"] = counter.per_query_calls
-        rows.append(row)
-        if row["passed"]:
-            passed += 1
-    r_final = passed / len(queries) if queries else 0.0
-    return r_final, rows
+        answered.append((q, answer_query(mem_bank, q, counter, texts)))
+    r_final = sum(a.passed for _, a in answered) / len(queries) if queries else 0.0
+    return r_final, answered
 
 
 def play_traces(
@@ -278,13 +280,13 @@ def play_traces(
     k_retrieve: int,
     top_k: int,
     bias: Optional[np.ndarray] = None,
-) -> list[tuple[rollout.EpisodeRollout, float, list[dict]]]:
+) -> list[tuple[rollout.EpisodeRollout, float, list[tuple[Query, Answer]]]]:
     """Roll the traces out together, then answer each one's queries from
     its episode's memory, slot by slot.
 
     Slot i draws from the stream ``SeedSequence(master_seed, seed_keys[i])``.
-    Returns one (episode, fraction of queries passed, per-query rows) per
-    trace.
+    Returns one (episode, fraction of queries passed, (query, answer) pairs)
+    per trace.
     """
     rngs = [
         np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
@@ -295,10 +297,10 @@ def play_traces(
     )
     out = []
     for trace, ep in zip(traces, eps):
-        r_final, rows = episode_queries(
+        r_final, answered = episode_queries(
             ep.mem_bank, queries_by_trace.get(trace.id, []), counter, cache.texts
         )
-        out.append((ep, r_final, rows))
+        out.append((ep, r_final, answered))
     return out
 
 
@@ -323,6 +325,8 @@ def evaluate_agent(
     each trace's queries.
 
     Returns {"rows": per-query rows sorted by query id, "total_calls": int}.
+    Design rows add the proposal, its simulation, the target and the
+    retrieved entries.
     """
     queries_by_trace: dict[str, list[Query]] = {}
     for q in queries:
@@ -333,7 +337,16 @@ def evaluate_agent(
         [_eval_seed_key(t.id) for t in traces], queries_by_trace, counter,
         k_retrieve, top_k,
     )
-    rows = [row for _, _, trace_rows in played for row in trace_rows]
+    rows = []
+    for _, _, answered in played:
+        for q, a in answered:
+            row = answer_row(q, a)
+            at = a.attempt
+            if at is not None:
+                row.update(proposal=at.geom.as_dict(), sim=at.sim.as_dict())
+                row["target"] = at.target.as_dict()
+                row["retrieved"] = [e.as_dict() for e in at.retrieved]
+            rows.append(row)
     rows.sort(key=lambda r: r["query_id"])
     return {"rows": rows, "total_calls": counter.total_calls}
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,23 +99,26 @@ def save_checkpoint(path: str, params: dict, seed: int) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[dict, int]:
-    with np.load(path) as data:
-        missing = [k for k in ("version", "seed", *PARAM_KEYS) if k not in data.files]
-        if missing:
-            raise ValueError(f"checkpoint lacks {', '.join(missing)}")
-        if int(data["version"][0]) != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint version {data['version'][0]} unsupported")
-        arrays = {k: data[k] for k in PARAM_KEYS}
-        seed = int(data["seed"][0])
-    for k, arr in arrays.items():
-        if arr.shape != PARAM_SHAPES[k]:
-            raise ValueError(
-                f"checkpoint {k} has shape {arr.shape}, expected {PARAM_SHAPES[k]}"
-            )
+    """The parameters and seed save_checkpoint wrote; any other file raises
+    ValueError naming ``path``."""
+    try:
+        with np.load(path) as data:  # an .npy array has no context manager
+            arrays = {k: data[k] for k in data.files}
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: not an npz checkpoint") from None
+    missing = [k for k in ("version", "seed", *PARAM_KEYS) if k not in arrays]
+    if missing:
+        raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    if int(arrays["version"][0]) != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {arrays['version'][0]} unsupported")
     params = _tree(np.empty(N_PARAMS))
-    for k, arr in arrays.items():
-        params[k][...] = arr
-    return params, seed
+    for k in PARAM_KEYS:
+        if arrays[k].shape != PARAM_SHAPES[k]:
+            raise ValueError(
+                f"{path}: checkpoint {k} has shape {arrays[k].shape}, expected {PARAM_SHAPES[k]}"
+            )
+        params[k][...] = arrays[k]
+    return params, int(arrays["seed"][0])
 
 
 def pool_memory(span_emb: np.ndarray, entry_embs: list[np.ndarray]) -> np.ndarray:

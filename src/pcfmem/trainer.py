@@ -205,7 +205,7 @@ def ppo_update(
 @dataclass
 class InnerLog:
     epochs: list[dict] = field(default_factory=list)
-    query_records: list[dict] = field(default_factory=list)
+    failed_attempts: list[designer.DesignAttempt] = field(default_factory=list)
 
     def mean_return(self) -> float:
         if not self.epochs:
@@ -258,9 +258,11 @@ def run_inner_loop(
             [(10, outer_epoch, inner, slot) for slot in range(len(picks))],
             queries_by_trace, counter, cfg.k_retrieve, cfg.top_k, bias,
         )
-        for ep, r_final, rows in played:
-            queries_answered += len(rows)
-            log.query_records.extend(r for r in rows if r["qtype"] == "parameter_adjustment")
+        for ep, r_final, answered in played:
+            queries_answered += len(answered)
+            log.failed_attempts.extend(
+                a.attempt for _, a in answered if a.attempt is not None and not a.passed
+            )
             success_log.append(r_final)
 
             t_len = len(ep.transitions)
@@ -421,7 +423,7 @@ def run_closed_loop(
             and (outer + 1) % cfg.designer_cadence == 0
         )
         if run_designer:
-            buf = designer.collect_failures(log.query_records, designer_counter)
+            buf = designer.collect_failures(log.failed_attempts, designer_counter)
             clusters = designer.cluster_failures(buf)
             changes = designer.propose_changes(
                 bank, clusters, epoch=outer + 1, max_skills=cfg.max_skills

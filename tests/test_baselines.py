@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pcfmem import baselines, datagen, evalsuite, physics
+from pcfmem import baselines, datagen, evalsuite, physics, skills
 from pcfmem.embed import TextVectors
 from pcfmem.memory import MemoryBank
 from pcfmem.physics import CallCounter, Geometry, TargetSpec
@@ -187,14 +187,20 @@ def test_agent_and_baseline_rows_share_one_schema(
         first.setdefault(q.qtype, q)
     assert sorted(first) == sorted(datagen.QUERY_TYPES)
     agent_rows = {
-        qtype: evalsuite.answer_query(MemoryBank(), q, CallCounter(), TextVectors())
+        qtype: evalsuite.answer_row(
+            q, evalsuite.answer_query(MemoryBank(), q, CallCounter(), TextVectors())
+        )
         for qtype, q in first.items()
     }
     for row in agent_rows.values():
         assert shared <= row.keys()
-    agent_design = agent_rows["parameter_adjustment"].keys() - {
-        "proposal", "sim", "target", "retrieved",
-    }
+    agent_design = agent_rows["parameter_adjustment"].keys()
+    # eval_*.json design rows add the attempt; baseline rows add nothing
+    q = first["parameter_adjustment"]
+    evaluated = evalsuite.evaluate_agent(
+        [traces_by_id[q.trace_ids[0]]], [q], skills.initial_bank(), None, mode="random"
+    )["rows"]
+    assert evaluated[0].keys() == agent_design | {"proposal", "sim", "target", "retrieved"}
 
     monkeypatch.setattr(baselines, "train_surrogate", lambda *a: surrogate_model[0])
     test_ids = set(small_corpus["splits"]["test"][:3])
@@ -205,4 +211,4 @@ def test_agent_and_baseline_rows_share_one_schema(
         assert rows
         for row in rows:
             assert shared <= row.keys()
-            assert row.keys() - {"calls"} == agent_design
+            assert row.keys() == agent_design

@@ -183,6 +183,98 @@ def test_malformed_bank_is_a_data_error(name, tmp_path, capsys, small_corpus):
     assert "data error" in err
 
 
+def _write_corpus(tmp_path, small_corpus):
+    paths = cli._data_paths(str(tmp_path))
+    datagen.save_traces(paths["traces"], small_corpus["traces"])
+    datagen.save_queries(paths["queries"], small_corpus["queries"])
+    (tmp_path / "splits.json").write_text(json.dumps(small_corpus["splits"]))
+    return paths
+
+
+def _append_line(path, line):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+
+
+def _repeat_trace(paths, splits):
+    # a later record with a test trace's id, one span long
+    t = next(t for t in datagen.load_traces(paths["traces"]) if t.id == splits["test"][0])
+    doc = t.as_dict()
+    doc["spans"] = doc["spans"][:1]
+    _append_line(paths["traces"], json.dumps(doc, sort_keys=True))
+
+
+def _repeat_query(paths, splits):
+    with open(paths["queries"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    test_ids = set(splits["test"])
+    line = next(l for l in lines[1:] if json.loads(l)["trace_ids"][0] in test_ids)
+    _append_line(paths["queries"], line.rstrip("\n"))
+
+
+def _unknown_param(paths, splits):
+    with open(paths["traces"], encoding="utf-8") as fh:
+        text = fh.read()
+    with open(paths["traces"], "w", encoding="utf-8") as fh:
+        fh.write(text.replace('"param": "pitch"', '"param": "girth"'))
+
+
+def _resplit(**edit):
+    def apply(paths, splits):
+        with open(paths["splits"], "w", encoding="utf-8") as fh:
+            json.dump({**splits, **{k: f(splits) for k, f in edit.items()}}, fh)
+
+    return apply
+
+
+BROKEN_IDENTITIES = {
+    # each corpus exits 0 with changed scores unless the loader refuses it
+    "repeated_trace_id": (_repeat_trace, "traces.jsonl:", "repeated id"),
+    "repeated_query_id": (_repeat_query, "queries.jsonl:", "repeated id"),
+    "unknown_span_param": (_unknown_param, "traces.jsonl:2:", "'girth'"),
+    "id_twice_in_a_split": (
+        _resplit(test=lambda s: s["test"] + s["test"][:1]),
+        "splits.json:", "is listed in 'test' and in 'test'",
+    ),
+    "id_in_two_splits": (
+        _resplit(test=lambda s: s["test"] + s["train"][:1]),
+        "splits.json:", "is listed in 'train' and in 'test'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_IDENTITIES))
+def test_broken_corpus_identities_are_data_errors(name, tmp_path, capsys, small_corpus):
+    edit, where, message = BROKEN_IDENTITIES[name]
+    paths = _write_corpus(tmp_path, small_corpus)
+    edit(paths, small_corpus["splits"])
+    code, _, err = _run(["eval", "--ablate", "wo_controller", "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert f"data error: {tmp_path / where}" in err
+    assert message in err
+
+
+UNREADABLE_RUN_FILES = {
+    # (file, bytes, --ablate); each message starts with the file's path
+    "bank_not_json": ("bank.json", b"{\n", "wo_controller"),
+    "bank_not_utf8": ("bank.json", b"\xff\xfe", "wo_controller"),
+    "checkpoint_one_byte": ("checkpoint.npz", b"x", "full"),
+    "checkpoint_empty": ("checkpoint.npz", b"", "full"),
+    "checkpoint_bad_zip": ("checkpoint.npz", b"PK\x03\x04garbage", "full"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_RUN_FILES))
+def test_eval_names_the_run_file_it_cannot_read(name, tmp_path, capsys, small_corpus):
+    filename, data, ablation = UNREADABLE_RUN_FILES[name]
+    _write_corpus(tmp_path, small_corpus)
+    (tmp_path / filename).write_bytes(data)
+    code, _, err = _run(["eval", "--ablate", ablation, "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert err.startswith(f"data error: {tmp_path / filename}: ")
+    assert "allow_pickle" not in err
+
+
 def test_eval_missing_corpus(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"data_dir": str(tmp_path / "nowhere")}))

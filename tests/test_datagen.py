@@ -221,6 +221,31 @@ def test_jsonl_rejects_corruption(tmp_path, small_corpus):
     with pytest.raises(datagen.CorpusFormatError, match=r"no_text\.jsonl:2: .*KeyError"):
         datagen.load_queries(no_text)
 
+    # a span edits one of the simulator's parameters
+    girth = str(tmp_path / "girth.jsonl")
+    t = json.loads(lines[1])
+    t["spans"][0]["edit"]["param"] = "girth"
+    with open(girth, "w") as fh:
+        fh.writelines([lines[0], json.dumps(t) + "\n"])
+    with pytest.raises(datagen.CorpusFormatError, match=r"girth\.jsonl:2: .*'girth'"):
+        datagen.load_traces(girth)
+
+    # ids are unique within a file; the repeat is named, not the first
+    repeated = str(tmp_path / "repeated.jsonl")
+    with open(repeated, "w") as fh:
+        fh.writelines([lines[0], lines[1], lines[2], lines[1]])
+    with pytest.raises(
+        datagen.CorpusFormatError, match=r"repeated\.jsonl:4: repeated id .*line 2"
+    ):
+        datagen.load_traces(repeated)
+    repeated_query = str(tmp_path / "repeated_query.jsonl")
+    q = small_corpus["queries"][0].as_dict()
+    with open(repeated_query, "w") as fh:
+        fh.write(json.dumps({"format": datagen.QUERY_FORMAT, "version": 1}) + "\n")
+        fh.write(json.dumps(q) + "\n" + json.dumps(q) + "\n")
+    with pytest.raises(datagen.CorpusFormatError, match=r"repeated_query\.jsonl:3: repeated id"):
+        datagen.load_queries(repeated_query)
+
     # line 1 is the header, and a file holds at least one record
     for name, text in (
         ("empty", ""),

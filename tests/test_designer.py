@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 
 from pcfmem import designer, memory, skills
-from pcfmem.designer import FailureBuffer, FailureCase, FailureCluster
-from pcfmem.physics import CallCounter
+from pcfmem.designer import DesignAttempt, FailureBuffer, FailureCase, FailureCluster
+from pcfmem.memory import MemoryEntry, MemoryKey
+from pcfmem.physics import CallCounter, Geometry, SimResult, TargetSpec
 
-PROPOSAL = {"pitch_um": 2.3, "hole_d_um": 1.15, "n_rings": 6}
-TARGET = {
-    "dispersion_ps_nm_km": 60.0,
-    "loss_db_km": 0.02,
-    "lambda_um": 1.55,
-    "tol_dispersion": 5.0,
-    "tol_loss": 1e-3,
-}
+PROPOSAL = Geometry(2.3, 1.15, 6)
+TARGET = TargetSpec(
+    dispersion_ps_nm_km=60.0,
+    loss_db_km=0.02,
+    lambda_um=1.55,
+    tol_dispersion=5.0,
+    tol_loss=1e-3,
+)
+SIM = SimResult(n_eff=1.44, dispersion_ps_nm_km=100.0, loss_db_km=0.02, lambda_um=1.55)
 
 
 def _trend(direction, param="pitch", metric="n_eff", kind="trend", **kw):
+    """A planted note as the corpus stores it."""
     return {
         "kind": kind,
         "direction": direction,
@@ -26,47 +29,51 @@ def _trend(direction, param="pitch", metric="n_eff", kind="trend", **kw):
     }
 
 
+def _entry(direction, param="pitch", metric="n_eff", kind="trend", contradictions=0):
+    return MemoryEntry(
+        id=1,
+        key=MemoryKey(param, metric, "1.55-band", "mid"),
+        kind=kind,
+        statement=f"{metric} moves with {param}",
+        direction=direction,
+        slope=0.0,
+        contradictions=contradictions,
+    )
+
+
+def _attempt(retrieved):
+    return DesignAttempt(PROPOSAL, SIM, TARGET, retrieved)
+
+
 def test_classify_failure_wrong_trend_probes_env():
     c = CallCounter()
     # claims n_eff falls with pitch; the simulator disagrees
-    got = designer.classify_failure(PROPOSAL, [_trend(-1)], TARGET, c)
+    got = designer.classify_failure(_attempt([_entry(-1)]), c)
     assert got == "wrong_trend"
     assert c.total_calls == 2  # one central probe
 
 
 def test_classify_failure_missing_constraint():
     c = CallCounter()
-    got = designer.classify_failure(PROPOSAL, [_trend(+1)], TARGET, c)
+    got = designer.classify_failure(_attempt([_entry(+1)]), c)
     assert got == "missing_constraint"  # trend agrees, no constraint retrieved
     assert c.total_calls == 2
-    assert designer.classify_failure(PROPOSAL, [], TARGET, CallCounter()) == (
+    assert designer.classify_failure(_attempt([]), CallCounter()) == (
         "missing_constraint"
     )
 
 
 def test_classify_failure_outdated_and_spurious():
-    stale = {
-        "kind": "constraint", "direction": 0, "key": {}, "contradictions": 2,
-    }
-    fresh = {
-        "kind": "boundary", "direction": 0, "key": {}, "contradictions": 0,
-    }
+    stale = _entry(0, kind="constraint", contradictions=2)
+    fresh = _entry(0, kind="boundary")
     assert (
-        designer.classify_failure(PROPOSAL, [stale], TARGET, CallCounter())
+        designer.classify_failure(_attempt([stale]), CallCounter())
         == "outdated_knowledge"
     )
     assert (
-        designer.classify_failure(PROPOSAL, [fresh], TARGET, CallCounter())
+        designer.classify_failure(_attempt([fresh]), CallCounter())
         == "spurious_memory"
     )
-
-
-def test_classify_failure_skips_unprobeable_entries():
-    c = CallCounter()
-    broken = {"kind": "trend", "direction": -1, "key": {"param": "girth", "metric": "n_eff"}}
-    got = designer.classify_failure(PROPOSAL, [broken], TARGET, c)
-    assert got == "missing_constraint"
-    assert c.total_calls == 0
 
 
 def test_classify_planted_four_ways():
@@ -113,38 +120,17 @@ def test_buffer_evicts_easiest_case():
     assert sorted(c.difficulty for c in buf.cases) == [3.0, 5.0, 9.0]
 
 
-def test_collect_failures_filters_and_classifies():
+def test_collect_failures_classifies_in_order():
     counter = CallCounter()
-    records = [
-        {
-            "trace_id": "t00000", "query_id": "q1", "qtype": "parameter_adjustment",
-            "passed": False,
-            "proposal": PROPOSAL,
-            "sim": {
-                "n_eff": 1.44, "dispersion_ps_nm_km": 100.0, "loss_db_km": 0.02,
-                "lambda_um": 1.55,
-            },
-            "target": TARGET,
-            "retrieved": [],
-        },
-        # passing and non-parameter records are ignored
-        {
-            "trace_id": "t00001", "query_id": "q2", "qtype": "parameter_adjustment",
-            "passed": True, "proposal": PROPOSAL,
-            "sim": {"dispersion_ps_nm_km": 60.0, "loss_db_km": 0.02},
-            "target": TARGET, "retrieved": [],
-        },
-        {
-            "trace_id": "t00002", "query_id": "q3", "qtype": "trend_prediction",
-            "passed": False,
-        },
-    ]
-    buf = designer.collect_failures(records, counter)
-    assert len(buf) == 1
+    attempts = [_attempt([]), _attempt([_entry(-1)])]
+    buf = designer.collect_failures(attempts, counter)
+    assert len(buf) == 2
     case = buf.cases[0]
     assert case.failure_type == "missing_constraint"
     assert case.difficulty == pytest.approx(8.0)  # 40 / 5 dispersion tolerance units
     assert case.regime == "mid"
+    assert buf.cases[1].failure_type == "wrong_trend"
+    assert counter.total_calls == 2  # only the trend entry is probed
 
 
 def _mk_cluster(ftype, regime, difficulties):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pcfmem import datagen, embed, evalsuite, memory, physics, rollout, skills
+from pcfmem import datagen, embed, evalsuite, physics, rollout, skills
 from pcfmem.datagen import Query
 from pcfmem.embed import TextVectors
 from pcfmem.memory import MemoryBank, MemoryEntry, MemoryKey
@@ -35,13 +35,13 @@ def test_concept_coverage():
 
 def test_param_accuracy_strict_band():
     truth = {"pitch_um": 2.0, "hole_d_um": 1.0, "n_rings": 6}
-    exact = dict(truth)
+    exact = physics.geometry_from_dict(truth)
     assert evalsuite.param_accuracy(exact, truth) == 1.0
-    one_off = {"pitch_um": 2.19, "hole_d_um": 1.0, "n_rings": 6}  # 9.5% off
+    one_off = Geometry(2.19, 1.0, 6)  # 9.5% off
     assert evalsuite.param_accuracy(one_off, truth) == pytest.approx(1.0)
-    too_far = {"pitch_um": 2.2, "hole_d_um": 1.0, "n_rings": 6}  # exactly 10%
+    too_far = Geometry(2.2, 1.0, 6)  # exactly 10%
     assert evalsuite.param_accuracy(too_far, truth) == pytest.approx(2 / 3)
-    assert evalsuite.param_accuracy(None, truth) == 0.0
+    assert evalsuite.param_accuracy(Geometry(3.0, 2.0, 9), truth) == 0.0
 
 
 def test_success_quality():
@@ -79,7 +79,7 @@ def _trend_entry(eid, direction, param="pitch", metric="dispersion"):
 
 
 def _answer(bank, query, counter=None):
-    """The row answer_query gives, with a fresh text memo."""
+    """The Answer answer_query gives, with a fresh text memo."""
     return evalsuite.answer_query(bank, query, counter or CallCounter(), TextVectors())
 
 
@@ -93,20 +93,20 @@ def test_answer_trend_majority_vote():
     bank = MemoryBank()
     bank.entries = [_trend_entry(1, 1), _trend_entry(2, 1), _trend_entry(3, -1)]
     bank.next_id = 4
-    row = _answer(bank, query)
-    assert row["passed"] is True
-    assert row["trend"] == 1.0
-    assert row["phys"] == 1.0
-    assert "increase" in row["answer_text"]
+    ans = _answer(bank, query)
+    assert ans.passed is True
+    assert ans.rates["trend"] == 1.0
+    assert ans.rates["phys"] == 1.0
+    assert "increase" in ans.text
 
     bank.entries = [_trend_entry(1, -1), _trend_entry(2, -1), _trend_entry(3, 1)]
-    row = _answer(bank, query)
-    assert row["passed"] is False
-    assert "decrease" in row["answer_text"]
+    ans = _answer(bank, query)
+    assert ans.passed is False
+    assert "decrease" in ans.text
 
-    row = _answer(MemoryBank(), query)
-    assert row["passed"] is False
-    assert "unknown" in row["answer_text"]
+    ans = _answer(MemoryBank(), query)
+    assert ans.passed is False
+    assert "unknown" in ans.text
 
 
 def test_answer_param_uses_stored_design_and_charges_once():
@@ -137,13 +137,15 @@ def test_answer_param_uses_stored_design_and_charges_once():
         {"reference_geometry": goal.as_dict(), "target": target.as_dict()},
     )
     counter = CallCounter()
-    row = _answer(bank, query, counter)
+    ans = _answer(bank, query, counter)
     assert counter.total_calls == 1  # exactly one verification
-    assert row["succ"] == 1.0
-    assert row["param"] == 1.0
-    assert row["passed"] is True
-    assert physics.geometry_from_dict(row["proposal"]) == goal
-    assert row["proposal"] == goal.as_dict()
+    assert ans.calls == 1
+    assert ans.rates["succ"] == 1.0
+    assert ans.rates["param"] == 1.0
+    assert ans.passed is True
+    assert ans.attempt.geom == goal
+    assert ans.attempt.retrieved == bank.entries  # the bank's own entries
+    assert evalsuite.answer_row(query, ans)["succ"] == 1.0
 
 
 def test_answer_param_fallback_is_single_call():
@@ -157,10 +159,10 @@ def test_answer_param_fallback_is_single_call():
         },
     )
     counter = CallCounter()
-    row = _answer(MemoryBank(), query, counter)
+    ans = _answer(MemoryBank(), query, counter)
     assert counter.total_calls == 1
-    assert row["proposal"] is not None
-    assert physics.geometry_valid(physics.geometry_from_dict(row["proposal"]))
+    assert ans.attempt is not None
+    assert physics.geometry_valid(ans.attempt.geom)
 
 
 def test_answer_param_slope_correction():
@@ -197,9 +199,9 @@ def test_answer_param_slope_correction():
         {"reference_geometry": base.as_dict(), "target": target.as_dict()},
     )
     counter = CallCounter()
-    row = _answer(bank, query, counter)
+    ans = _answer(bank, query, counter)
     assert counter.total_calls == 1
-    assert row["proposal"]["pitch_um"] == pytest.approx(2.5, abs=0.02)
+    assert ans.attempt.geom.pitch_um == pytest.approx(2.5, abs=0.02)
 
 
 def test_answer_reasoning_coverage_gate():
@@ -228,15 +230,15 @@ def test_answer_reasoning_coverage_gate():
         {"concepts": list(datagen.CONCEPT_KEYS)},
         text="explain the design at 1.55 um",
     )
-    row = _answer(bank, query)
+    ans = _answer(bank, query)
     # pitch, dispersion, loss, rings, n_eff from memory + wavelength context
-    assert row["design"] >= 6 / 7 - 1e-9
-    assert row["passed"] is True
-    assert "wavelength" in row["answer_text"]
+    assert ans.rates["design"] >= 6 / 7 - 1e-9
+    assert ans.passed is True
+    assert "wavelength" in ans.text
 
-    row = _answer(MemoryBank(), query)
-    assert row["design"] < 0.5
-    assert row["passed"] is False
+    ans = _answer(MemoryBank(), query)
+    assert ans.rates["design"] < 0.5
+    assert ans.passed is False
 
 
 def test_answer_failure_uses_bank_evidence():
@@ -260,12 +262,12 @@ def test_answer_failure_uses_bank_evidence():
     informed = MemoryBank()
     informed.entries = [_trend_entry(1, 1, metric="n_eff")]
     informed.next_id = 2
-    row = evalsuite._answer_failure(informed, query)
-    assert row["passed"] is True
-    assert "wrong trend" in row["answer_text"]
+    ans = evalsuite._answer_failure(informed, query)
+    assert ans.passed is True
+    assert "wrong trend" in ans.text
     # an empty bank cannot corroborate, so the note reads as spurious
-    row = evalsuite._answer_failure(MemoryBank(), query)
-    assert row["passed"] is False
+    ans = evalsuite._answer_failure(MemoryBank(), query)
+    assert ans.passed is False
 
 
 def test_answer_query_dispatch_and_row_tagging():
@@ -273,7 +275,7 @@ def test_answer_query_dispatch_and_row_tagging():
         "trend_prediction",
         {"direction": 1, "param": "pitch", "metric": "dispersion", "lambda_um": LAM},
     )
-    row = _answer(MemoryBank(), query)
+    row = evalsuite.answer_row(query, _answer(MemoryBank(), query))
     assert row["query_id"] == query.id
     assert row["trace_id"] == "t00000"
     assert row["qtype"] == "trend_prediction"
@@ -296,9 +298,9 @@ def test_answers_embed_each_query_text_once(monkeypatch):
     bank.entries = [_trend_entry(1, 1)]
     bank.next_id = 2
     texts = TextVectors()
-    rows = [evalsuite.answer_query(bank, query, CallCounter(), texts) for _ in range(2)]
-    assert rows[0] == rows[1]
-    assert rows[0]["passed"] is True
+    answers = [evalsuite.answer_query(bank, query, CallCounter(), texts) for _ in range(2)]
+    assert answers[0] == answers[1]
+    assert answers[0].passed is True
     assert embedded.count(query.text) == 1
     assert texts[query.text] is texts[query.text]
 
@@ -320,11 +322,13 @@ def test_episode_queries_counts_and_fraction():
         ),
     ]
     counter = CallCounter()
-    r_final, rows = evalsuite.episode_queries(MemoryBank(), queries, counter, TextVectors())
-    assert len(rows) == 2
-    assert [r["query_id"] for r in rows] == ["t00000-q0", "t00000-q1"]
-    assert rows[0]["calls"] == 0  # trend answers are free
-    assert rows[1]["calls"] == 1  # one verification
+    r_final, answered = evalsuite.episode_queries(
+        MemoryBank(), queries, counter, TextVectors()
+    )
+    assert len(answered) == 2
+    assert [q.id for q, _ in answered] == ["t00000-q0", "t00000-q1"]
+    assert answered[0][1].calls == 0  # trend answers are free
+    assert answered[1][1].calls == 1  # one verification
     assert counter.total_calls == 1
     assert r_final in (0.0, 0.5, 1.0)
     assert evalsuite.episode_queries(MemoryBank(), [], CallCounter(), TextVectors())[0] == 0.0

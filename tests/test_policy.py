@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -375,3 +376,29 @@ def test_checkpoint_shape_guard(tmp_path):
     np.savez(path, version=np.array([policy.CHECKPOINT_VERSION]), seed=np.array([0]), **arrays)
     with pytest.raises(ValueError, match="w1"):
         policy.load_checkpoint(path)
+
+
+def test_checkpoint_errors_name_the_file(tmp_path):
+    params = policy.init_params(np.random.default_rng(19))
+    arrays = {k: params[k] for k in policy.PARAM_KEYS}
+    version = np.array([policy.CHECKPOINT_VERSION])
+    cases = {
+        "lacks": dict(version=version, **arrays),
+        "version": dict(version=np.array([99]), seed=np.array([0]), **arrays),
+        "shape": dict(version=version, seed=np.array([0]), **{**arrays, "w2": params["w2"][:-1]}),
+    }
+    for name, contents in cases.items():
+        path = str(tmp_path / f"{name}.npz")
+        np.savez(path, **contents)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint .*{name}"):
+            policy.load_checkpoint(path)
+    for name, data in (("one_byte", b"x"), ("empty", b""), ("bad_zip", b"PK\x03\x04")):
+        path = tmp_path / f"{name}.npz"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not an npz checkpoint$"):
+            policy.load_checkpoint(str(path))
+    path = tmp_path / "array.npz"
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))  # an .npy file under an .npz name
+    with pytest.raises(ValueError, match="not an npz checkpoint"):
+        policy.load_checkpoint(str(path))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pcfmem import policy, rollout, trainer
+from pcfmem import designer, evalsuite, memory, physics, policy, rollout, trainer
 from pcfmem.trainer import AdamW, PPOConfig
 
 
@@ -258,3 +258,56 @@ def test_wo_redistribution_forces_terminal_beta(small_corpus, traces_by_id):
         cfg, 3, ablation="wo_redistribution",
     )
     assert report["config"]["beta"] == 1.0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("training built an output row")
+
+
+def test_training_and_validation_build_no_rows(small_corpus, traces_by_id, monkeypatch):
+    # run_inner_loop, j_val and the designer read typed answers; F1, rows and
+    # entry snapshots are built only for the files eval and baseline write
+    monkeypatch.setattr(evalsuite, "token_f1", _refuse)
+    monkeypatch.setattr(evalsuite, "answer_row", _refuse)
+    monkeypatch.setattr(memory.MemoryEntry, "as_dict", _refuse)
+    cfg = PPOConfig(inner_epochs=2, outer_epochs=1, batch=4)
+    report = trainer.run_closed_loop(
+        traces_by_id, small_corpus["queries"], small_corpus["splits"], cfg, 5
+    )
+    assert "designer" in report["epochs"][0]
+    assert report["val_calls"] > 0
+
+
+def test_designer_reads_failed_attempts_as_answered(small_corpus, traces_by_id, monkeypatch):
+    snapshots = {}
+    answer_query = evalsuite.answer_query
+
+    def spy_answer(*args):
+        ans = answer_query(*args)
+        if ans.attempt is not None:
+            snapshots[id(ans.attempt)] = (ans, [e.as_dict() for e in ans.attempt.retrieved])
+        return ans
+
+    seen = []
+    collect_failures = designer.collect_failures
+
+    def spy_collect(attempts, counter):
+        # every failed design answer of the training rollouts, in answer order
+        failed = [ans.attempt for ans, _ in snapshots.values() if not ans.passed]
+        assert [id(a) for a in attempts] == [id(a) for a in failed]
+        # the entries are the answering banks' own, unchanged since answering
+        for a in attempts:
+            ans, entries = snapshots[id(a)]
+            assert ans.attempt is a and not ans.passed
+            assert [e.as_dict() for e in a.retrieved] == entries
+            assert physics.miss(a.sim, a.target) >= 1.0
+        seen.append(len(attempts))
+        return collect_failures(attempts, counter)
+
+    monkeypatch.setattr(evalsuite, "answer_query", spy_answer)
+    monkeypatch.setattr(designer, "collect_failures", spy_collect)
+    cfg = PPOConfig(inner_epochs=2, outer_epochs=1, batch=8)
+    trainer.run_closed_loop(
+        traces_by_id, small_corpus["queries"], small_corpus["splits"], cfg, 5
+    )
+    assert seen and seen[0] > 0
