@@ -8,7 +8,8 @@ surrogate: 4-hidden-layer MLP with batch norm trained on 2000 env samples,
 
 The simplex loop is owned code rather than scipy because the call cap is an
 exact budget: every objective evaluation must pass through the CallCounter
-and stop mid-iteration when the cap is reached.
+and stop mid-iteration when the cap is reached. Its vertices are float tuples,
+the surrogate steps one flat buffer, and both keep numpy's operation order.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ def random_search_query(
     return best[1], best[2]
 
 
-def _clip_x(x: np.ndarray) -> Geometry:
-    pitch = float(np.clip(x[0], physics.PITCH_MIN_UM, physics.PITCH_MAX_UM))
-    r = float(np.clip(x[1], DRATIO_MIN, DRATIO_CAP))
-    n = int(round(float(np.clip(x[2], physics.N_RINGS_MIN, physics.N_RINGS_MAX))))
+def _clip_x(x: tuple[float, float, float]) -> Geometry:
+    pitch = min(max(x[0], physics.PITCH_MIN_UM), physics.PITCH_MAX_UM)
+    r = min(max(x[1], DRATIO_MIN), DRATIO_CAP)
+    n = int(round(min(max(x[2], physics.N_RINGS_MIN), physics.N_RINGS_MAX)))
     return Geometry(pitch, pitch * r, n)
 
 
@@ -65,70 +66,60 @@ def nelder_mead_query(
     target: TargetSpec, counter: CallCounter, rng: np.random.Generator
 ) -> tuple[Geometry, SimResult, bool]:
     """Reflection 1, expansion 2, contraction 0.5, shrink 0.5; cap 135 calls."""
-    budget = [NM_BUDGET]
-    best = [None]  # (f, geometry, result)
+    budget = NM_BUDGET
+    best = None  # (f, geometry, result)
 
-    def f(x: np.ndarray) -> float:
-        if budget[0] <= 0:
+    def f(x: tuple[float, float, float]) -> float:
+        nonlocal budget, best
+        if budget <= 0:
             return np.inf
-        budget[0] -= 1
+        budget -= 1
         geom = _clip_x(x)
         res = physics.simulate(geom, target.lambda_um, counter)
         val = 1.0 - physics.quality(res, target)
-        if best[0] is None or val < best[0][0]:
-            best[0] = (val, geom, res)
+        if best is None or val < best[0]:
+            best = (val, geom, res)
         return val
 
-    x0 = np.array(
-        [
-            rng.uniform(physics.PITCH_MIN_UM, physics.PITCH_MAX_UM),
-            rng.uniform(DRATIO_MIN, DRATIO_CAP),
-            rng.uniform(physics.N_RINGS_MIN, physics.N_RINGS_MAX),
-        ]
+    x0 = (
+        rng.uniform(physics.PITCH_MIN_UM, physics.PITCH_MAX_UM),
+        rng.uniform(DRATIO_MIN, DRATIO_CAP),
+        rng.uniform(physics.N_RINGS_MIN, physics.N_RINGS_MAX),
     )
-    steps = np.array([0.4, 0.1, 1.5])
-    simplex = [x0.copy()]
-    for i in range(3):
-        xi = x0.copy()
-        xi[i] += steps[i]
-        simplex.append(xi)
+    simplex = [x0]
+    for i, step in enumerate((0.4, 0.1, 1.5)):
+        simplex.append(x0[:i] + (x0[i] + step,) + x0[i + 1 :])
     fvals = [f(x) for x in simplex]
 
-    while budget[0] > 0:
-        order = np.argsort(fvals, kind="stable")
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        diameter = max(np.max(np.abs(x - simplex[0])) for x in simplex[1:])
+    while budget > 0:
+        order = sorted(range(4), key=fvals.__getitem__)
+        simplex, fvals = [simplex[i] for i in order], [fvals[i] for i in order]
+        diameter = max(abs(a - b) for x in simplex[1:] for a, b in zip(x, simplex[0]))
         if diameter < NM_DIAMETER_TOL:
             break
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + (centroid - simplex[-1])
+        # np.mean(axis=0)'s order: add the rows left to right, then divide
+        centroid = tuple((a + b + c) / 3 for a, b, c in zip(*simplex[:-1]))
+        xr = tuple(c + (c - w) for c, w in zip(centroid, simplex[-1]))
         fr = f(xr)
         if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
+            xe = tuple(c + 2.0 * (c - w) for c, w in zip(centroid, simplex[-1]))
             fe = f(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
+            simplex[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fvals[-2]:
             simplex[-1], fvals[-1] = xr, fr
         else:
-            if fr < fvals[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid + 0.5 * (simplex[-1] - centroid)
+            toward = xr if fr < fvals[-1] else simplex[-1]
+            xc = tuple(c + 0.5 * (t - c) for c, t in zip(centroid, toward))
             fc = f(xc)
             if fc < min(fr, fvals[-1]):
                 simplex[-1], fvals[-1] = xc, fc
             else:
-                for i in range(1, len(simplex)):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                for i in range(1, 4):
+                    simplex[i] = tuple(b + 0.5 * (x - b) for b, x in zip(simplex[0], simplex[i]))
                     fvals[i] = f(simplex[i])
 
-    exhausted = budget[0] <= 0
-    _, geom, res = best[0]
-    return geom, res, exhausted
+    _, geom, res = best
+    return geom, res, budget <= 0
 
 
 # --- surrogate -----------------------------------------------------------
@@ -177,14 +168,15 @@ class SurrogateModel:
         for i, stats in enumerate(self.running):
             w, b, gamma, beta = self.params[4 * i : 4 * i + 4]
             z = h @ w + b
+            # in training, the operations of z.mean and z.var, centring z once
+            mu = np.add.reduce(z, 0) / len(z) if train else stats[0]
+            zc = z - mu
+            var = np.add.reduce(zc * zc, 0) / len(z) if train else stats[1]
             if train:
-                mu, var = z.mean(axis=0), z.var(axis=0)
                 stats[0] = (1 - self.MOMENTUM) * stats[0] + self.MOMENTUM * mu
                 stats[1] = (1 - self.MOMENTUM) * stats[1] + self.MOMENTUM * var
-            else:
-                mu, var = stats
             inv = 1.0 / np.sqrt(var + self.EPS)
-            zhat = (z - mu) * inv
+            zhat = zc * inv
             a = np.maximum(gamma * zhat + beta, 0.0)
             caches.append((h, zhat, inv, a))
             h = a
@@ -197,8 +189,16 @@ class SurrogateModel:
         return out * self.y_std + self.y_mean
 
     def train(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
+        """Momentum SGD; ``params`` become views into one flat buffer."""
         n = x.shape[0]
-        velocity = [np.zeros_like(p) for p in self.params]
+        shapes = [p.shape for p in self.params]
+        cuts = np.cumsum([p.size for p in self.params])[:-1]
+        flat = np.concatenate(self.params, axis=None)
+        grad, velocity = np.zeros_like(flat), np.zeros_like(flat)
+        self.params, grads = (
+            [part.reshape(s) for part, s in zip(np.split(buf, cuts), shapes)]
+            for buf in (flat, grad)
+        )
         for _ in range(SURROGATE_EPOCHS):
             perm = rng.permutation(n)
             for s in range(0, n, SURROGATE_BATCH):
@@ -208,8 +208,8 @@ class SurrogateModel:
                 out, caches = self._forward(x[idx], train=True)
                 m = len(idx)
                 d_out = 2.0 * (out - y[idx]) / (m * 3)
-                grads = [None] * len(self.params)
-                grads[-2:] = [caches[-1][3].T @ d_out, d_out.sum(axis=0)]
+                np.matmul(caches[-1][3].T, d_out, out=grads[-2])
+                np.add.reduce(d_out, 0, out=grads[-1])
                 d_h = d_out @ self.params[-2].T
                 for i, (h_in, zhat, inv, a) in reversed(list(enumerate(caches))):
                     d_y = d_h * (a > 0)
@@ -217,14 +217,15 @@ class SurrogateModel:
                     d_z = inv / m * (
                         m * d_zhat - d_zhat.sum(axis=0) - zhat * (d_zhat * zhat).sum(axis=0)
                     )
-                    grads[4 * i : 4 * i + 4] = [
-                        h_in.T @ d_z, d_z.sum(axis=0), (d_y * zhat).sum(axis=0), d_y.sum(axis=0)
-                    ]
-                    d_h = d_z @ self.params[4 * i].T
-                for p, v, g in zip(self.params, velocity, grads):
-                    v *= 0.9
-                    v -= SURROGATE_LR * g
-                    p += v
+                    np.matmul(h_in.T, d_z, out=grads[4 * i])
+                    np.add.reduce(d_z, 0, out=grads[4 * i + 1])
+                    np.add.reduce(d_y * zhat, 0, out=grads[4 * i + 2])
+                    np.add.reduce(d_y, 0, out=grads[4 * i + 3])
+                    if i > 0:  # layer 0's input is the data
+                        d_h = d_z @ self.params[4 * i].T
+                velocity *= 0.9
+                velocity -= SURROGATE_LR * grad
+                flat += velocity
 
 
 def train_surrogate(

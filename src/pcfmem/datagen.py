@@ -23,12 +23,14 @@ TRACE_FORMAT = "pcfmem-traces"
 QUERY_FORMAT = "pcfmem-queries"
 FORMAT_VERSION = 1
 
-QUERY_TYPES = (
-    "trend_prediction",
-    "parameter_adjustment",
-    "design_reasoning",
-    "failure_analysis",
-)
+# each query type and the ground-truth fields its answerer reads
+GROUND_TRUTH_FIELDS = {
+    "trend_prediction": ("param", "metric", "direction"),
+    "parameter_adjustment": ("target", "reference_geometry"),
+    "design_reasoning": (),
+    "failure_analysis": ("planted_entry", "failure_type"),
+}
+QUERY_TYPES = tuple(GROUND_TRUTH_FIELDS)
 
 FAILURE_TYPES = (
     "wrong_trend",
@@ -160,17 +162,27 @@ class Query:
 
 
 def query_from_dict(d: dict) -> Query:
-    if d.get("type") not in QUERY_TYPES:
-        raise CorpusFormatError(f"query {d.get('id')}: bad type {d.get('type')!r}")
-    return Query(
+    qtype = d.get("type")
+    if qtype not in QUERY_TYPES:
+        raise CorpusFormatError(f"query {d.get('id')}: bad type {qtype!r}")
+    query = Query(
         id=d["id"],
         trace_ids=list(d["trace_ids"]),
-        qtype=d["type"],
+        qtype=qtype,
         text=d["text"],
         ground_truth=dict(d["ground_truth"]),
         answer_text=d["answer_text"],
         difficulty=d["difficulty"],
     )
+    gt = query.ground_truth
+    missing = [k for k in GROUND_TRUTH_FIELDS[qtype] if k not in gt]
+    if missing:
+        raise CorpusFormatError(f"query {query.id}: ground_truth lacks {', '.join(missing)}")
+    if qtype == "parameter_adjustment":
+        # the fields the answerer and scorer read; a missing one raises KeyError
+        physics.target_from_dict(gt["target"])
+        physics.geometry_from_dict(gt["reference_geometry"])
+    return query
 
 
 # Family priors: disjoint boxes in (pitch, d/pitch, rings); wavelength

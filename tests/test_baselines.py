@@ -64,6 +64,59 @@ def test_nelder_mead_respects_budget_and_can_converge():
     assert hits >= 1
 
 
+def _charged_calls(monkeypatch):
+    """Record every (geometry, result) the simulator is charged for."""
+    calls = []
+    simulate = physics.simulate
+
+    def spy(geom, lambda_um, counter):
+        res = simulate(geom, lambda_um, counter)
+        calls.append((geom, res))
+        return res
+
+    monkeypatch.setattr(physics, "simulate", spy)
+    return calls
+
+
+# (target seed, dispersion shift, rng seed, charged calls): the first run
+# converges before the cap; the last reaches the cap on the second of a
+# shrink step's three calls
+@pytest.mark.parametrize("case", [(1, 0.0, 2, 131), (0, 0.0, 0, 135), (5, 0.0, 4, 135)])
+def test_nelder_mead_charges_the_cap_exactly_and_keeps_its_best_call(case, monkeypatch):
+    target_seed, shift, seed, expected = case
+    target = _target(target_seed, shift)
+    calls = _charged_calls(monkeypatch)
+    counter = CallCounter()
+    geom, res, exhausted = baselines.nelder_mead_query(
+        target, counter, np.random.default_rng(seed)
+    )
+    assert counter.total_calls == len(calls) == expected
+    assert exhausted is (expected == baselines.NM_BUDGET == 135)
+    # the answer is the first call with the lowest 1 - quality
+    objective = [1.0 - physics.quality(r, target) for _, r in calls]
+    assert (geom, res) == calls[objective.index(min(objective))]
+
+
+# sha256 over repr((geometry, result, exhausted, calls)) of every run below;
+# 3 of the 24 runs converge before the cap
+NELDER_MEAD_DIGEST = "a0c09fc9d603f78b08a03953d5a62a043ce7325052fd41aaf1525b0bdbde48c9"
+
+
+def test_nelder_mead_keeps_its_recorded_bits():
+    reprs = []
+    for target_seed in range(4):
+        for shift in (0.0, 40.0):
+            target = _target(target_seed, shift)
+            for seed in range(3):
+                counter = CallCounter()
+                geom, res, exhausted = baselines.nelder_mead_query(
+                    target, counter, np.random.default_rng(seed)
+                )
+                reprs.append(repr((geom, res, exhausted, counter.total_calls)))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == NELDER_MEAD_DIGEST
+
+
 @pytest.fixture(scope="module")
 def surrogate_model(small_corpus, traces_by_id):
     train = [traces_by_id[i] for i in small_corpus["splits"]["train"]]
@@ -109,6 +162,25 @@ def test_surrogate_keeps_its_recorded_bits(surrogate_model):
     x = np.random.default_rng(9).uniform(0.0, 1.0, (50, 4))
     parts.append(hashlib.sha256(model.predict(x).tobytes()).hexdigest())
     assert hashlib.sha256("".join(parts).encode()).hexdigest() == SURROGATE_DIGEST
+
+
+def test_trained_surrogate_keeps_its_parameter_layout():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 1.0, (40, 4))
+    y = rng.normal(0.0, 1.0, (40, 3))
+    model = baselines.SurrogateModel(np.random.default_rng(5))
+    initial = [p.copy() for p in model.params]
+    model.train(x, y, np.random.default_rng(6))
+    hidden = baselines.SurrogateModel.HIDDEN
+    shapes = []
+    for fan_in in (4, hidden, hidden, hidden):  # w, b, gamma, beta per layer
+        shapes += [(fan_in, hidden), (hidden,), (hidden,), (hidden,)]
+    assert [p.shape for p in model.params] == shapes + [(hidden, 3), (3,)]
+    assert all(not np.array_equal(p, q) for p, q in zip(model.params, initial))
+    # predict reads the trained entries themselves
+    before = model.predict(x)
+    model.params[-1] += 1.0
+    assert np.allclose(model.predict(x), before + model.y_std, rtol=0, atol=1e-12)
 
 
 def test_surrogate_query_costs_one_call(surrogate_model):

@@ -254,6 +254,23 @@ def test_broken_corpus_identities_are_data_errors(name, tmp_path, capsys, small_
     assert message in err
 
 
+def test_design_query_without_ground_truth_is_a_data_error(tmp_path, capsys, small_corpus):
+    # both commands answer design queries from ground_truth["target"]
+    paths = _write_corpus(tmp_path, small_corpus)
+    docs = [q.as_dict() for q in small_corpus["queries"]]
+    for doc in docs:
+        if doc["type"] == "parameter_adjustment":
+            doc["ground_truth"] = {}
+    with open(paths["queries"], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"format": datagen.QUERY_FORMAT, "version": 1}) + "\n")
+        fh.writelines(json.dumps(doc) + "\n" for doc in docs)
+    for argv in (["baseline", "--kind", "nelder_mead"], ["eval", "--ablate", "wo_controller"]):
+        code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_DATA, argv
+        assert f"data error: {tmp_path / 'queries.jsonl'}:" in err, argv
+        assert "ground_truth lacks target, reference_geometry" in err, argv
+
+
 UNREADABLE_RUN_FILES = {
     # (file, bytes, --ablate); each message starts with the file's path
     "bank_not_json": ("bank.json", b"{\n", "wo_controller"),

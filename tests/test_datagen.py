@@ -221,6 +221,37 @@ def test_jsonl_rejects_corruption(tmp_path, small_corpus):
     with pytest.raises(datagen.CorpusFormatError, match=r"no_text\.jsonl:2: .*KeyError"):
         datagen.load_queries(no_text)
 
+    # a query's ground truth holds every field its answerer reads
+    first = {}
+    for query in small_corpus["queries"]:
+        first.setdefault(query.qtype, query.as_dict())
+    cases = [
+        ("trend_prediction", ("param",)),
+        ("trend_prediction", ("metric",)),
+        ("trend_prediction", ("direction",)),
+        ("parameter_adjustment", ("target",)),
+        ("parameter_adjustment", ("reference_geometry",)),
+        ("parameter_adjustment", ("target", "dispersion_ps_nm_km")),
+        ("parameter_adjustment", ("target", "loss_db_km")),
+        ("parameter_adjustment", ("target", "lambda_um")),
+        ("failure_analysis", ("planted_entry",)),
+        ("failure_analysis", ("failure_type",)),
+    ]
+    for qtype, path in cases:
+        doc = json.loads(json.dumps(first[qtype]))
+        holder = doc["ground_truth"]
+        for key in path[:-1]:
+            holder = holder[key]
+        del holder[path[-1]]
+        no_field = tmp_path / f"no_{'_'.join(path)}.jsonl"
+        with open(no_field, "w") as fh:
+            fh.write(json.dumps({"format": datagen.QUERY_FORMAT, "version": 1}) + "\n")
+            fh.write(json.dumps(doc) + "\n")
+        with pytest.raises(
+            datagen.CorpusFormatError, match=rf"{no_field.name}:2: .*{path[-1]}"
+        ):
+            datagen.load_queries(str(no_field))
+
     # a span edits one of the simulator's parameters
     girth = str(tmp_path / "girth.jsonl")
     t = json.loads(lines[1])
