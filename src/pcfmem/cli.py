@@ -284,21 +284,18 @@ def cmd_eval(cfg: RunConfig, out: str) -> int:
             raise CorpusFormatError(f"{bank_path}: {exc}") from None
     else:
         bank = skills.initial_bank()
-    mode = "greedy"
+    # a run without a controller has no checkpoint, and picks uniformly
     params = None
-    if cfg.ablation == "wo_controller":
-        mode = "random"
-    elif os.path.exists(ckpt):
+    if cfg.ablation != "wo_controller":
+        if not os.path.exists(ckpt):
+            raise CorpusFormatError(f"missing checkpoint: {ckpt}")
         params, _ = policy.load_checkpoint(ckpt)
-    else:
-        raise CorpusFormatError(f"missing checkpoint: {ckpt}")
 
     result = evalsuite.evaluate_agent(
         test_traces,
         test_queries,
         bank,
         params,
-        mode=mode,
         master_seed=cfg.seed,
         k_retrieve=cfg.k_retrieve,
         top_k=cfg.top_k,
@@ -398,7 +395,6 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
                 test_queries,
                 report["_bank"],
                 report["_params"],
-                mode="greedy",
                 master_seed=run_cfg.seed,
                 k_retrieve=run_cfg.k_retrieve,
                 top_k=run_cfg.top_k,

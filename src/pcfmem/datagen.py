@@ -91,10 +91,14 @@ class Span:
         }
 
 
+def _check_choice(what: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{what} {value!r} is not one of {', '.join(choices)}")
+
+
 def span_from_dict(d: dict) -> Span:
     param = d["edit"]["param"]
-    if param not in physics.PARAMS:
-        raise ValueError(f"edit param {param!r} is not one of {', '.join(physics.PARAMS)}")
+    _check_choice("edit param", param, physics.PARAMS)
     return Span(
         index=int(d["index"]),
         text=d["text"],
@@ -129,12 +133,16 @@ class Trace:
 
 
 def trace_from_dict(d: dict) -> Trace:
+    spans = [span_from_dict(s) for s in d["spans"]]
+    if not spans:
+        # an episode is its spans; one without any has nothing to roll out
+        raise ValueError(f"trace {d['id']!r} has no spans")
     return Trace(
         id=d["id"],
         family=int(d["family"]),
         target=physics.target_from_dict(d["target"]),
         goal_geometry=physics.geometry_from_dict(d["goal_geometry"]),
-        spans=[span_from_dict(s) for s in d["spans"]],
+        spans=spans,
         success=bool(d["success"]),
     )
 
@@ -178,10 +186,21 @@ def query_from_dict(d: dict) -> Query:
     missing = [k for k in GROUND_TRUTH_FIELDS[qtype] if k not in gt]
     if missing:
         raise CorpusFormatError(f"query {query.id}: ground_truth lacks {', '.join(missing)}")
-    if qtype == "parameter_adjustment":
+    if qtype == "trend_prediction":
+        direction = gt["direction"]
+        if type(direction) is not int or direction not in (-1, 0, 1):
+            raise ValueError(f"trend direction {direction!r} is not -1, 0 or 1")
+        _check_choice("trend param", gt["param"], physics.PARAMS)
+        _check_choice("trend metric", gt["metric"], physics.METRICS)
+    elif qtype == "parameter_adjustment":
         # the fields the answerer and scorer read; a missing one raises KeyError
         physics.target_from_dict(gt["target"])
         physics.geometry_from_dict(gt["reference_geometry"])
+    elif qtype == "failure_analysis":
+        _check_choice("failure type", gt["failure_type"], FAILURE_TYPES)
+        entry = gt["planted_entry"]
+        if not (isinstance(entry, dict) and isinstance(entry.get("key"), dict)):
+            raise ValueError("planted_entry must be an object with an object 'key'")
     return query
 
 

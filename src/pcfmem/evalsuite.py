@@ -272,7 +272,6 @@ def play_traces(
     skill_bank,
     params: Optional[dict],
     cache: rollout.FeatureCache,
-    mode: str,
     master_seed: int,
     seed_keys: list[tuple[int, ...]],
     queries_by_trace: dict[str, list[Query]],
@@ -280,9 +279,10 @@ def play_traces(
     k_retrieve: int,
     top_k: int,
     bias: Optional[np.ndarray] = None,
+    greedy: bool = False,
 ) -> list[tuple[rollout.EpisodeRollout, float, list[tuple[Query, Answer]]]]:
     """Roll the traces out together, then answer each one's queries from
-    its episode's memory, slot by slot.
+    its episode's memory, slot by slot; without params the picks are uniform.
 
     Slot i draws from the stream ``SeedSequence(master_seed, seed_keys[i])``.
     Returns one (episode, fraction of queries passed, (query, answer) pairs)
@@ -293,7 +293,8 @@ def play_traces(
         for key in seed_keys
     ]
     eps = rollout.run_episode(
-        traces, skill_bank, params, cache, k_retrieve, top_k, mode, rngs, bias
+        traces, skill_bank, params, cache, k_retrieve, top_k,
+        rngs=rngs, bias=bias, greedy=greedy,
     )
     out = []
     for trace, ep in zip(traces, eps):
@@ -316,13 +317,12 @@ def evaluate_agent(
     queries: list[Query],
     skill_bank,
     params: Optional[dict],
-    mode: str = "greedy",
     master_seed: int = 0,
     k_retrieve: int = 5,
     top_k: int = 2,
 ) -> dict:
-    """Greedy (or ablation-mode) rollout of all traces together, then answer
-    each trace's queries.
+    """Greedy rollout of all traces together (uniform picks without params),
+    then answer each trace's queries.
 
     Returns {"rows": per-query rows sorted by query id, "total_calls": int}.
     Design rows add the proposal, its simulation, the target and the
@@ -333,9 +333,9 @@ def evaluate_agent(
         queries_by_trace.setdefault(q.trace_ids[0], []).append(q)
     counter = CallCounter()
     played = play_traces(
-        traces, skill_bank, params, rollout.FeatureCache(), mode, master_seed,
+        traces, skill_bank, params, rollout.FeatureCache(), master_seed,
         [_eval_seed_key(t.id) for t in traces], queries_by_trace, counter,
-        k_retrieve, top_k,
+        k_retrieve, top_k, greedy=True,
     )
     rows = []
     for _, _, answered in played:

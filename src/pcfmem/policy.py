@@ -168,17 +168,13 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def sample_topk(z: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    """Ordered without-replacement sample via Gumbel perturbation."""
-    n = z.shape[0]
-    if k > n:
-        raise ValueError(f"K={k} exceeds action count {n}")
-    u = np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
-    keys = z - np.log(-np.log(u))
-    order = np.lexsort((np.arange(n), -keys))
-    return [int(i) for i in order[:k]]
+    """Ordered without-replacement sample: the top k of Gumbel-perturbed z."""
+    u = np.clip(rng.random(z.shape[0]), 1e-300, 1.0 - 1e-16)
+    return greedy_topk(z - np.log(-np.log(u)), k)
 
 
 def greedy_topk(z: np.ndarray, k: int) -> list[int]:
+    """The k largest entries of z in descending order, ties to the lower index."""
     n = z.shape[0]
     if k > n:
         raise ValueError(f"K={k} exceeds action count {n}")

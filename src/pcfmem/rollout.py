@@ -4,10 +4,10 @@ One call runs one episode per trace, and the episodes advance together,
 span position by span position, like PPO's parallel actors. At each
 position every live slot retrieves from its own memory bank; then one
 forward pass over the batch's context rows gives one logit matrix, and
-each slot picks an ordered skill subset (sampled with its own generator,
-greedy, or uniform-random depending on mode), executes it and applies the
-edits to its bank. Terminal rewards are attached later by the trainer once
-each trace's queries are answered.
+each slot picks an ordered skill subset (sampled with its own generator, or
+greedy; uniform-random when there are no controller parameters), executes
+it and applies the edits to its bank. Terminal rewards are attached later
+by the trainer once each trace's queries are answered.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def skill_matrix(bank: SkillBank, texts: embed.TextVectors) -> np.ndarray:
 
 @dataclass
 class Transition:
-    x: Optional[np.ndarray]
+    x: np.ndarray
     action: list[int]
     logprob: float
     value: float
@@ -80,16 +80,18 @@ def run_episode(
     cache: FeatureCache,
     k_retrieve: int,
     top_k: int,
-    mode: str,
     rngs: list[Optional[np.random.Generator]],
     bias: Optional[np.ndarray] = None,
+    greedy: bool = False,
 ) -> list[EpisodeRollout]:
     """One episode per trace, stepped in lockstep; slot i draws from rngs[i].
 
-    mode: 'sample' | 'greedy' | 'random' (uniform, controller-free). Each
-    slot has its own memory bank, and a slot whose trace has ended keeps a
-    zero context row, so the forward pass always has len(traces) rows and a
-    slot's episode does not depend on its neighbours' trace lengths.
+    Without params, each slot draws a uniform permutation and logs no
+    transitions; with them, it samples from the controller's logits, or
+    takes their top k when greedy. Each slot has its own memory bank, and a
+    slot whose trace has ended keeps a zero context row, so the forward pass
+    always has len(traces) rows and a slot's episode does not depend on its
+    neighbours' trace lengths.
     """
     u_mat = skill_matrix(bank, cache.texts)
     n_skills = len(bank.skills)
@@ -104,7 +106,7 @@ def run_episode(
         retrieved = {
             i: memory.retrieve(eps[i].mem_bank, span_embs[i], k_retrieve) for i in live
         }
-        if mode != "random":
+        if params is not None:
             contexts: list = [None] * len(traces)
             for i in live:
                 contexts[i] = (
@@ -116,21 +118,19 @@ def run_episode(
             z = policy.skill_logits(h, u_mat, bias)
 
         for i in live:
-            if mode == "random":
-                perm = rngs[i].permutation(n_skills)
-                action = [int(a) for a in perm[:k_pick]]
-                tr = Transition(x=None, action=action, logprob=0.0, value=0.0)
+            if params is None:
+                action = [int(a) for a in rngs[i].permutation(n_skills)[:k_pick]]
             else:
-                if mode == "greedy":
+                if greedy:
                     action = policy.greedy_topk(z[i], k_pick)
                 else:
                     action = policy.sample_topk(z[i], k_pick, rngs[i])
-                tr = Transition(
+                eps[i].transitions.append(Transition(
                     x=x[i].copy(),
                     action=action,
                     logprob=policy.action_logprob(z[i], action),
                     value=float(values[i]),
-                )
+                ))
             edits = executor.execute(
                 cache.span_evidence(traces[i], idx),
                 retrieved[i],
@@ -138,6 +138,5 @@ def run_episode(
             )
             _, outcomes = memory.apply_edits(eps[i].mem_bank, edits)
             categories = executor.events_from_outcomes(edits, outcomes)
-            eps[i].transitions.append(tr)
             eps[i].r_proc.append(executor.process_reward(categories))
     return eps

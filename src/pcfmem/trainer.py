@@ -224,10 +224,8 @@ def run_inner_loop(
     opt: Optional[AdamW],
     cache: rollout.FeatureCache,
     counter: CallCounter,
-    mode: str = "sample",
-    use_bias: bool = True,
 ) -> InnerLog:
-    """Train (or just roll, in random mode) against a frozen bank.
+    """Train against a frozen bank, or without params just roll uniform picks.
 
     Episode = one trace span-by-span; terminal reward is the fraction of the
     trace's queries answered correctly from the episode's memory bank.
@@ -235,10 +233,7 @@ def run_inner_loop(
     log = InnerLog()
     n_traces = len(train_traces)
     for inner in range(cfg.inner_epochs):
-        if use_bias and mode != "random":
-            bias = cfg.bias_b0 * designer.new_action_bias(bank, outer_epoch, inner)
-        else:
-            bias = np.zeros(len(bank.skills))
+        bias = cfg.bias_b0 * designer.new_action_bias(bank, outer_epoch, inner)
         pick_rng = np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=(10, outer_epoch, inner))
         )
@@ -254,7 +249,7 @@ def run_inner_loop(
 
         batch_traces = [train_traces[int(t_i)] for t_i in picks]
         played = evalsuite.play_traces(
-            batch_traces, bank, params, cache, mode, master_seed,
+            batch_traces, bank, params, cache, master_seed,
             [(10, outer_epoch, inner, slot) for slot in range(len(picks))],
             queries_by_trace, counter, cfg.k_retrieve, cfg.top_k, bias,
         )
@@ -265,14 +260,10 @@ def run_inner_loop(
             )
             success_log.append(r_final)
 
-            t_len = len(ep.transitions)
-            if t_len == 0:
-                continue
-            beta = cfg.beta
-            r_tilde = redistribute(r_final, t_len, cfg.gamma_r, beta)
+            r_tilde = redistribute(r_final, len(ep.r_proc), cfg.gamma_r, cfg.beta)
             step_rewards = compose_step_rewards(ep.r_proc, r_tilde)
             returns_log.append(float(step_rewards.sum()))
-            if mode == "random":
+            if params is None:
                 continue
             values = np.array([tr.value for tr in ep.transitions])
             adv, ret = compute_gae(step_rewards, values, cfg.gamma_d, cfg.gae_lambda)
@@ -291,7 +282,7 @@ def run_inner_loop(
                 else 0.0
             ),
         }
-        if mode != "random" and transitions:
+        if transitions:
             advantages = normalize_advantages(np.concatenate(adv_parts))
             returns = np.concatenate(ret_parts)
             upd_rng = np.random.default_rng(
@@ -318,15 +309,14 @@ def j_val(
     cfg: PPOConfig,
     counter: CallCounter,
     cache: rollout.FeatureCache,
-    mode: str = "greedy",
     master_seed: int = 0,
 ) -> float:
     """Mean episode R_final over the fixed, non-empty validation subset
-    (greedy policy)."""
+    (greedy policy; uniform picks without params)."""
     played = evalsuite.play_traces(
-        val_traces, bank, params, cache, mode, master_seed,
+        val_traces, bank, params, cache, master_seed,
         [(13, i) for i in range(len(val_traces))], queries_by_trace, counter,
-        cfg.k_retrieve, cfg.top_k,
+        cfg.k_retrieve, cfg.top_k, greedy=True,
     )
     total = 0.0
     for _, r_final, _ in played:
@@ -349,12 +339,15 @@ def run_closed_loop(
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}")
+    # each ablation is settings: config values, whether a controller exists
+    # (without params every pick is uniform), and whether the designer runs
     cfg = PPOConfig(**{**asdict(cfg)})
     if ablation == "wo_redistribution":
         cfg.beta = 1.0
-    use_bias = ablation != "wo_new_action_bias"
-    mode = "random" if ablation == "wo_controller" else "sample"
-    gate_mode = "random" if mode == "random" else "greedy"
+    if ablation == "wo_new_action_bias":
+        cfg.bias_b0 = 0.0
+    use_controller = ablation != "wo_controller"
+    use_designer = ablation != "wo_designer"
     for name in ("train", "val"):
         # the designer gate needs val traces to compare a candidate against
         if not splits[name]:
@@ -372,13 +365,13 @@ def run_closed_loop(
         val_ids = [val_ids[i] for i in sorted(keep)]
     val_traces = [traces_by_id[i] for i in val_ids]
 
-    if mode == "random":
-        params, opt = None, None
-    else:
+    if use_controller:
         params = policy.init_params(
             np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(9,)))
         )
         opt = AdamW(cfg.learning_rate, cfg.weight_decay)
+    else:
+        params, opt = None, None
     bank = skills.initial_bank()
     cache = rollout.FeatureCache()
     train_counter = CallCounter()
@@ -401,8 +394,6 @@ def run_closed_loop(
             opt,
             cache,
             train_counter,
-            mode=mode,
-            use_bias=use_bias,
         )
         entry = {
             "outer": outer,
@@ -418,9 +409,7 @@ def run_closed_loop(
         }
 
         run_designer = (
-            evolve
-            and ablation != "wo_designer"
-            and (outer + 1) % cfg.designer_cadence == 0
+            evolve and use_designer and (outer + 1) % cfg.designer_cadence == 0
         )
         if run_designer:
             buf = designer.collect_failures(log.failed_attempts, designer_counter)
@@ -432,7 +421,7 @@ def run_closed_loop(
             j_before, j_after = (
                 j_val(
                     b, params, val_traces, queries_by_trace, cfg,
-                    val_counter, cache, gate_mode, master_seed,
+                    val_counter, cache, master_seed,
                 )
                 for b in (bank, candidate)
             )

@@ -50,10 +50,9 @@ def _eval_arm(corpus, report, master_seed):
     test_ids = set(corpus["splits"]["test"])
     test_traces = [corpus["by_id"][i] for i in corpus["splits"]["test"]]
     test_queries = [q for q in corpus["queries"] if q.trace_ids[0] in test_ids]
-    mode = "random" if report["_params"] is None else "greedy"
     out = evalsuite.evaluate_agent(
         test_traces, test_queries, report["_bank"], report["_params"],
-        mode=mode, master_seed=master_seed,
+        master_seed=master_seed,
     )
     return out["rows"], evalsuite.aggregate(out["rows"])
 
@@ -294,7 +293,7 @@ def test_criterion_05_simulation_call_budgets(corpus500):
 
     agent = evalsuite.evaluate_agent(
         test_traces, test_queries, skills.initial_bank(),
-        policy.init_params(np.random.default_rng(9)), mode="greedy", master_seed=0,
+        policy.init_params(np.random.default_rng(9)), master_seed=0,
     )
     agg = evalsuite.aggregate(agent["rows"])
     assert agg["calls_per_query"] <= 1.05

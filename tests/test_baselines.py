@@ -270,7 +270,7 @@ def test_agent_and_baseline_rows_share_one_schema(
     # eval_*.json design rows add the attempt; baseline rows add nothing
     q = first["parameter_adjustment"]
     evaluated = evalsuite.evaluate_agent(
-        [traces_by_id[q.trace_ids[0]]], [q], skills.initial_bank(), None, mode="random"
+        [traces_by_id[q.trace_ids[0]]], [q], skills.initial_bank(), None
     )["rows"]
     assert evaluated[0].keys() == agent_design | {"proposal", "sim", "target", "retrieved"}
 

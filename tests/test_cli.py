@@ -271,6 +271,48 @@ def test_design_query_without_ground_truth_is_a_data_error(tmp_path, capsys, sma
         assert "ground_truth lacks target, reference_geometry" in err, argv
 
 
+BAD_RECORD_VALUES = {
+    # (file, query type or None for a trace, field, value, message); each
+    # corpus loaded, and eval exited 0 with changed scores or crashed with a
+    # message that named no file, before the loader checked the value
+    "direction_word": ("queries", "trend_prediction", "direction", "up", "'up' is not -1, 0 or 1"),
+    "direction_five": ("queries", "trend_prediction", "direction", 5, "5 is not -1, 0 or 1"),
+    "direction_bool": ("queries", "trend_prediction", "direction", True, "True is not -1"),
+    "trend_param": ("queries", "trend_prediction", "param", "girth", "trend param 'girth'"),
+    "trend_metric": ("queries", "trend_prediction", "metric", "girth", "trend metric 'girth'"),
+    "failure_type": ("queries", "failure_analysis", "failure_type", "typo", "failure type 'typo'"),
+    "planted_text": ("queries", "failure_analysis", "planted_entry", "oops", "planted_entry"),
+    "planted_key": ("queries", "failure_analysis", "planted_entry", {"key": []}, "planted_entry"),
+    "no_spans": ("traces", None, "spans", [], "has no spans"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RECORD_VALUES))
+def test_bad_record_values_are_data_errors(name, tmp_path, capsys, small_corpus):
+    kind, qtype, field, value, message = BAD_RECORD_VALUES[name]
+    paths = _write_corpus(tmp_path, small_corpus)
+    test_ids = set(small_corpus["splits"]["test"])
+    with open(paths[kind], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    # break the first record of a test trace that has the field
+    for lineno, line in enumerate(lines[1:], start=2):
+        doc = json.loads(line)
+        if qtype is None and doc["id"] in test_ids:
+            doc[field] = value
+            break
+        if qtype is not None and doc["type"] == qtype and doc["trace_ids"][0] in test_ids:
+            doc["ground_truth"][field] = value
+            break
+    lines[lineno - 1] = json.dumps(doc) + "\n"
+    with open(paths[kind], "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    commands = (["eval", "--ablate", "wo_controller"], ["evolve", "--outer", "1", "--inner", "1"])
+    for argv in commands:
+        code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_DATA, argv
+        assert f"data error: {paths[kind]}:{lineno}: " in err, argv
+        assert message in err, argv
+
 UNREADABLE_RUN_FILES = {
     # (file, bytes, --ablate); each message starts with the file's path
     "bank_not_json": ("bank.json", b"{\n", "wo_controller"),

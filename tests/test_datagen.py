@@ -252,6 +252,38 @@ def test_jsonl_rejects_corruption(tmp_path, small_corpus):
         ):
             datagen.load_queries(str(no_field))
 
+    # and each value the answerer compares against is one it can match
+    bad_values = [
+        ("trend_prediction", "direction", "up", "'up' is not -1, 0 or 1"),
+        ("trend_prediction", "direction", 5, "5 is not -1, 0 or 1"),
+        ("trend_prediction", "direction", 1.0, "1.0 is not -1, 0 or 1"),
+        ("trend_prediction", "direction", True, "True is not -1, 0 or 1"),
+        ("trend_prediction", "param", "girth", "trend param 'girth'"),
+        ("trend_prediction", "metric", "girth", "trend metric 'girth'"),
+        ("failure_analysis", "failure_type", "typo", "failure type 'typo'"),
+        ("failure_analysis", "planted_entry", "oops", "planted_entry must be an object"),
+        ("failure_analysis", "planted_entry", {"kind": "trend"}, "with an object 'key'"),
+        ("failure_analysis", "planted_entry", {"key": "pitch"}, "with an object 'key'"),
+    ]
+    for n, (qtype, field, value, message) in enumerate(bad_values):
+        doc = json.loads(json.dumps(first[qtype]))
+        doc["ground_truth"][field] = value
+        bad_value = tmp_path / f"bad_value_{n}.jsonl"
+        with open(bad_value, "w") as fh:
+            fh.write(json.dumps({"format": datagen.QUERY_FORMAT, "version": 1}) + "\n")
+            fh.write(json.dumps(doc) + "\n")
+        with pytest.raises(datagen.CorpusFormatError, match=rf"{bad_value.name}:2: .*{message}"):
+            datagen.load_queries(str(bad_value))
+
+    # a trace has at least one span
+    empty = str(tmp_path / "empty.jsonl")
+    t = json.loads(lines[1])
+    t["spans"] = []
+    with open(empty, "w") as fh:
+        fh.writelines([lines[0], lines[2], json.dumps(t) + "\n"])
+    with pytest.raises(datagen.CorpusFormatError, match=r"empty\.jsonl:3: .*has no spans"):
+        datagen.load_traces(empty)
+
     # a span edits one of the simulator's parameters
     girth = str(tmp_path / "girth.jsonl")
     t = json.loads(lines[1])

@@ -339,8 +339,8 @@ def test_evaluate_agent_rows_sorted_and_deterministic(small_corpus, traces_by_id
     traces = [traces_by_id[i] for i in test_ids]
     queries = [q for q in small_corpus["queries"] if q.trace_ids[0] in test_ids]
     bank = skills.initial_bank()
-    out1 = evalsuite.evaluate_agent(traces, queries, bank, None, mode="random", master_seed=9)
-    out2 = evalsuite.evaluate_agent(traces, queries, bank, None, mode="random", master_seed=9)
+    out1 = evalsuite.evaluate_agent(traces, queries, bank, None, master_seed=9)
+    out2 = evalsuite.evaluate_agent(traces, queries, bank, None, master_seed=9)
     assert out1["rows"] == out2["rows"]
     assert out1["total_calls"] == out2["total_calls"]
     ids = [r["query_id"] for r in out1["rows"]]
@@ -354,14 +354,14 @@ def test_eval_seeds_each_trace_id_apart(small_corpus, traces_by_id, monkeypatch)
     states = {}
     real_run_episode = rollout.run_episode
 
-    def spy(batch, *args):
-        for trace, rng in zip(batch, args[6]):  # each slot's rng
+    def spy(batch, *args, **kwargs):
+        for trace, rng in zip(batch, kwargs["rngs"]):
             states[trace.id] = rng.bit_generator.state
-        return real_run_episode(batch, *args)
+        return real_run_episode(batch, *args, **kwargs)
 
     monkeypatch.setattr(rollout, "run_episode", spy)
     evalsuite.evaluate_agent(
-        traces, [], skills.initial_bank(), None, mode="random", master_seed=9
+        traces, [], skills.initial_bank(), None, master_seed=9
     )
     # non-numeric ids must not share one stream
     assert states["a"] != states["b"]

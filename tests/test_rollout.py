@@ -1,11 +1,11 @@
-"""Episode mechanics: per-span transitions, modes and feature caching."""
+"""Episode mechanics: per-span transitions, pick rules and feature caching."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from pcfmem import embed, memory, policy, rollout, skills
+from pcfmem import embed, executor, memory, policy, rollout, skills
 
 
 @pytest.fixture()
@@ -13,11 +13,11 @@ def one_trace(small_corpus):
     return small_corpus["traces"][0]
 
 
-def _run(trace, bank, params, mode, seed=0, top_k=2):
+def _run(trace, bank, params, greedy=False, seed=0, top_k=2):
     (ep,) = rollout.run_episode(
         [trace], bank, params,
         rollout.FeatureCache(), k_retrieve=5, top_k=top_k,
-        mode=mode, rngs=[np.random.default_rng(seed)],
+        rngs=[np.random.default_rng(seed)], greedy=greedy,
     )
     return ep
 
@@ -25,7 +25,7 @@ def _run(trace, bank, params, mode, seed=0, top_k=2):
 def test_episode_shape_and_reward_bounds(one_trace):
     bank = skills.initial_bank()
     params = policy.init_params(np.random.default_rng(9))
-    ep = _run(one_trace, bank, params, "sample")
+    ep = _run(one_trace, bank, params)
     assert len(ep.transitions) == len(one_trace.spans)
     assert len(ep.r_proc) == len(one_trace.spans)
     for t, reward in zip(ep.transitions, ep.r_proc):
@@ -39,13 +39,37 @@ def test_episode_shape_and_reward_bounds(one_trace):
 
 def test_random_mode_needs_no_params(one_trace):
     bank = skills.initial_bank()
-    ep = _run(one_trace, bank, None, "random", seed=4)
-    for t in ep.transitions:
-        assert t.x is None
-        assert t.logprob == 0.0
-        assert t.value == 0.0
+    ep = _run(one_trace, bank, None, seed=4)
+    # uniform picks log no transitions, but every span still gets its reward
+    assert ep.transitions == []
+    assert len(ep.r_proc) == len(one_trace.spans)
     # memory still gets written by whatever skills were drawn
     assert isinstance(ep.mem_bank.entries, list)
+
+
+def test_uniform_picks_ignore_greedy(small_corpus, monkeypatch):
+    # without params there are no logits to be greedy about
+    traces = small_corpus["traces"][:4]
+    bank = skills.initial_bank()
+    execute = executor.execute
+    picks = {False: [], True: []}
+    runs = []
+    for greedy in (False, True):
+        def spy(evidence, retrieved, selected, _log=picks[greedy]):
+            _log.append([s.id for s in selected])
+            return execute(evidence, retrieved, selected)
+
+        monkeypatch.setattr(executor, "execute", spy)
+        runs.append(rollout.run_episode(
+            traces, bank, None, rollout.FeatureCache(), k_retrieve=5, top_k=2,
+            rngs=[np.random.default_rng(s) for s in range(len(traces))], greedy=greedy,
+        ))
+    assert picks[False] == picks[True]
+    assert len(picks[False]) == sum(len(t.spans) for t in traces)
+    for a, b in zip(*runs):
+        assert a.transitions == b.transitions == []
+        assert a.r_proc == b.r_proc
+        assert memory.snapshot(a.mem_bank) == memory.snapshot(b.mem_bank)
 
 
 def test_greedy_mode_is_rng_free(one_trace):
@@ -54,7 +78,7 @@ def test_greedy_mode_is_rng_free(one_trace):
     eps = [
         rollout.run_episode(
             [one_trace], bank, params, rollout.FeatureCache(),
-            k_retrieve=5, top_k=2, mode="greedy", rngs=[None],
+            k_retrieve=5, top_k=2, rngs=[None], greedy=True,
         )[0]
         for _ in range(2)
     ]
@@ -65,9 +89,9 @@ def test_greedy_mode_is_rng_free(one_trace):
 def test_sample_mode_seed_determinism(one_trace):
     bank = skills.initial_bank()
     params = policy.init_params(np.random.default_rng(9))
-    a = _run(one_trace, bank, params, "sample", seed=7)
-    b = _run(one_trace, bank, params, "sample", seed=7)
-    c = _run(one_trace, bank, params, "sample", seed=8)
+    a = _run(one_trace, bank, params, seed=7)
+    b = _run(one_trace, bank, params, seed=7)
+    c = _run(one_trace, bank, params, seed=8)
     assert [t.action for t in a.transitions] == [t.action for t in b.transitions]
     assert memory.snapshot(a.mem_bank) == memory.snapshot(b.mem_bank)
     diff = [t.action for t in a.transitions] != [t.action for t in c.transitions]
@@ -77,7 +101,7 @@ def test_sample_mode_seed_determinism(one_trace):
 def test_top_k_clamps_to_bank_size(one_trace):
     bank = skills.initial_bank()
     params = policy.init_params(np.random.default_rng(9))
-    ep = _run(one_trace, bank, params, "greedy", top_k=99)
+    ep = _run(one_trace, bank, params, greedy=True, top_k=99)
     assert all(len(t.action) == len(bank.skills) for t in ep.transitions)
 
 
@@ -89,7 +113,7 @@ def test_bias_steers_first_pick(one_trace):
         bias[want] = 1e6
         (ep,) = rollout.run_episode(
             [one_trace], bank, params, rollout.FeatureCache(),
-            k_retrieve=5, top_k=1, mode="greedy", rngs=[None], bias=bias,
+            k_retrieve=5, top_k=1, rngs=[None], bias=bias, greedy=True,
         )
         assert all(t.action[0] == want for t in ep.transitions)
 
@@ -153,7 +177,7 @@ def test_episode_does_not_depend_on_its_neighbours_lengths(small_corpus, mode):
         rngs = [np.random.default_rng(100 + slot) for slot in range(n)]
         eps = rollout.run_episode(
             [middle, *neighbours], bank, params, rollout.FeatureCache(),
-            k_retrieve=5, top_k=2, mode=mode, rngs=rngs,
+            k_retrieve=5, top_k=2, rngs=rngs, greedy=mode == "greedy",
         )
         runs.append(eps[0])
     assert len(traces[0].spans) < len(middle.spans) < len(traces[-1].spans)
@@ -172,7 +196,7 @@ def test_transition_rows_are_copies(one_trace, small_corpus):
     params = policy.init_params(np.random.default_rng(9))
     eps = rollout.run_episode(
         [one_trace, small_corpus["traces"][1]], bank, params, rollout.FeatureCache(),
-        k_retrieve=5, top_k=2, mode="greedy", rngs=[None, None],
+        k_retrieve=5, top_k=2, rngs=[None, None], greedy=True,
     )
     rows = [t.x for ep in eps for t in ep.transitions]
     assert all(r.base is None for r in rows)
@@ -203,10 +227,11 @@ def test_per_span_rewards_and_banks_match_golden(small_corpus, bank_name):
     params = policy.init_params(np.random.default_rng(9))
     traces = small_corpus["traces"][:16]
     digest = hashlib.sha256()
-    for mode in ("sample", "greedy", "random"):
+    # sampled, greedy, then uniform picks
+    for run_params, greedy in ((params, False), (params, True), (None, False)):
         eps = rollout.run_episode(
-            traces, bank, params, rollout.FeatureCache(), k_retrieve=5, top_k=3,
-            mode=mode, rngs=[np.random.default_rng(s) for s in range(len(traces))],
+            traces, bank, run_params, rollout.FeatureCache(), k_retrieve=5, top_k=3,
+            rngs=[np.random.default_rng(s) for s in range(len(traces))], greedy=greedy,
         )
         for ep in eps:
             digest.update(np.asarray(ep.r_proc, dtype=np.float64).tobytes())

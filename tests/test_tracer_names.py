@@ -58,7 +58,7 @@ def test_tracer_counts_the_status_of_every_applied_edit(small_corpus, monkeypatc
     try:
         rollout.run_episode(
             small_corpus["traces"][:2], skills.initial_bank(), None, rollout.FeatureCache(),
-            k_retrieve=5, top_k=3, mode="random",
+            k_retrieve=5, top_k=3,
             rngs=[np.random.default_rng(0), np.random.default_rng(1)],
         )
     finally:

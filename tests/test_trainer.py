@@ -311,3 +311,26 @@ def test_designer_reads_failed_attempts_as_answered(small_corpus, traces_by_id, 
         traces_by_id, small_corpus["queries"], small_corpus["splits"], cfg, 5
     )
     assert seen and seen[0] > 0
+
+
+def test_wo_new_action_bias_is_a_full_run_without_the_bias(small_corpus, traces_by_id):
+    # the ablation is one setting: a zero bias scale on the same controller
+    def run(ablation, **settings):
+        cfg = PPOConfig(inner_epochs=2, outer_epochs=2, batch=4, **settings)
+        return trainer.run_closed_loop(
+            traces_by_id, small_corpus["queries"], small_corpus["splits"],
+            cfg, 5, ablation=ablation,
+        )
+
+    ablated, unbiased, biased = (
+        run("wo_new_action_bias"), run("full", bias_b0=0.0), run("full")
+    )
+    assert ablated["config"]["bias_b0"] == 0.0
+    assert ablated["config"] == unbiased["config"]
+    for key in ("epochs", "bank_version_history", "train_calls", "designer_calls",
+                "val_calls", "final_bank"):
+        assert ablated[key] == unbiased[key], key
+    for name, value in ablated["_params"].items():
+        assert value.tobytes() == unbiased["_params"][name].tobytes(), name
+    # the bias does steer a full run, so the equality above is not vacuous
+    assert biased["epochs"] != unbiased["epochs"]
