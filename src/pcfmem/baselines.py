@@ -9,7 +9,8 @@ surrogate: 4-hidden-layer MLP with batch norm trained on 2000 env samples,
 The simplex loop is owned code rather than scipy because the call cap is an
 exact budget: every objective evaluation must pass through the CallCounter
 and stop mid-iteration when the cap is reached. Its vertices are float tuples,
-the surrogate steps one flat buffer, and both keep numpy's operation order.
+the surrogate steps one flat buffer in preallocated layer buffers, and both
+keep numpy's operation order.
 """
 
 from __future__ import annotations
@@ -162,35 +163,21 @@ class SurrogateModel:
         self.y_mean = np.zeros(3)
         self.y_std = np.ones(3)
 
-    def _forward(self, x: np.ndarray, train: bool):
-        caches = []
-        h = x
-        for i, stats in enumerate(self.running):
-            w, b, gamma, beta = self.params[4 * i : 4 * i + 4]
-            z = h @ w + b
-            # in training, the operations of z.mean and z.var, centring z once
-            mu = np.add.reduce(z, 0) / len(z) if train else stats[0]
-            zc = z - mu
-            var = np.add.reduce(zc * zc, 0) / len(z) if train else stats[1]
-            if train:
-                stats[0] = (1 - self.MOMENTUM) * stats[0] + self.MOMENTUM * mu
-                stats[1] = (1 - self.MOMENTUM) * stats[1] + self.MOMENTUM * var
-            inv = 1.0 / np.sqrt(var + self.EPS)
-            zhat = zc * inv
-            a = np.maximum(gamma * zhat + beta, 0.0)
-            caches.append((h, zhat, inv, a))
-            h = a
-        w_out, b_out = self.params[-2:]
-        return h @ w_out + b_out, caches
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Physical-scale predictions (n_eff, log10 loss, dispersion)."""
-        out, _ = self._forward(np.atleast_2d(x), train=False)
+        h = np.atleast_2d(x)
+        for i, (mu, var) in enumerate(self.running):
+            w, b, gamma, beta = self.params[4 * i : 4 * i + 4]
+            zhat = (h @ w + b - mu) * (1.0 / np.sqrt(var + self.EPS))
+            h = np.maximum(gamma * zhat + beta, 0.0)
+        out = h @ self.params[-2] + self.params[-1]
         return out * self.y_std + self.y_mean
 
     def train(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
-        """Momentum SGD; ``params`` become views into one flat buffer."""
-        n = x.shape[0]
+        """Momentum SGD; ``params`` become views into one flat buffer, ``running``
+        into one stacked array. Steps write into buffers made once, running the
+        operations of the allocating numpy expressions in their order."""
+        n, depth, hidden, rows = x.shape[0], len(self.running), self.HIDDEN, SURROGATE_BATCH
         shapes = [p.shape for p in self.params]
         cuts = np.cumsum([p.size for p in self.params])[:-1]
         flat = np.concatenate(self.params, axis=None)
@@ -199,32 +186,59 @@ class SurrogateModel:
             [part.reshape(s) for part, s in zip(np.split(buf, cuts), shapes)]
             for buf in (flat, grad)
         )
+        running = np.array(self.running)
+        self.running = [list(pair) for pair in running]
+        batch_stats, inv = np.empty_like(running), np.empty((depth, hidden))
+        t, t2 = np.empty((2, hidden))
+        # a batch of m rows uses the first m rows: temporaries, each layer's zhat and relu out
+        temps, acts = np.empty((4, rows, hidden)), np.empty((depth, 2, rows, hidden))
+        head, (w_out, b_out) = np.empty((rows, 3)), self.params[-2:]
         for _ in range(SURROGATE_EPOCHS):
             perm = rng.permutation(n)
-            for s in range(0, n, SURROGATE_BATCH):
-                idx = perm[s : s + SURROGATE_BATCH]
-                if len(idx) < 2:
-                    continue
-                out, caches = self._forward(x[idx], train=True)
-                m = len(idx)
-                d_out = 2.0 * (out - y[idx]) / (m * 3)
-                np.matmul(caches[-1][3].T, d_out, out=grads[-2])
+            xs, ys = x[perm], y[perm]
+            for s in range(0, n - 1, rows):  # skips a 1-row tail
+                h = x_in = xs[s : s + rows]
+                m = len(h)
+                tmp, d_h, d_y, d_z = temps[:, :m]
+                for i, (mu, var) in enumerate(batch_stats):
+                    w, b, gamma, beta = self.params[4 * i : 4 * i + 4]
+                    z, a = acts[i, :, :m]  # z becomes z - mu, then zhat, in place
+                    np.add(np.matmul(h, w, out=z), b, out=z)
+                    np.divide(np.add.reduce(z, 0, out=mu), m, out=mu)
+                    z -= mu
+                    np.divide(np.add.reduce(np.multiply(z, z, out=tmp), 0, out=var), m, out=var)
+                    np.sqrt(np.add(var, self.EPS, out=inv[i]), out=inv[i])
+                    z *= np.divide(1.0, inv[i], out=inv[i])
+                    np.add(np.multiply(gamma, z, out=a), beta, out=a)
+                    h = np.maximum(a, 0.0, out=a)
+                running *= 1 - self.MOMENTUM
+                batch_stats *= self.MOMENTUM
+                running += batch_stats
+                inv /= m  # backward reads only inv / m
+                d_out = np.add(np.matmul(h, w_out, out=head[:m]), b_out, out=head[:m])
+                d_out -= ys[s : s + m]
+                np.divide(np.multiply(2.0, d_out, out=d_out), m * 3, out=d_out)
+                np.matmul(h.T, d_out, out=grads[-2])
                 np.add.reduce(d_out, 0, out=grads[-1])
-                d_h = d_out @ self.params[-2].T
-                for i, (h_in, zhat, inv, a) in reversed(list(enumerate(caches))):
-                    d_y = d_h * (a > 0)
-                    d_zhat = d_y * self.params[4 * i + 2]
-                    d_z = inv / m * (
-                        m * d_zhat - d_zhat.sum(axis=0) - zhat * (d_zhat * zhat).sum(axis=0)
-                    )
-                    np.matmul(h_in.T, d_z, out=grads[4 * i])
-                    np.add.reduce(d_z, 0, out=grads[4 * i + 1])
-                    np.add.reduce(d_y * zhat, 0, out=grads[4 * i + 2])
-                    np.add.reduce(d_y, 0, out=grads[4 * i + 3])
+                np.matmul(d_out, w_out.T, out=d_h)
+                for i in reversed(range(depth)):
+                    g_w, g_b, g_gamma, g_beta = grads[4 * i : 4 * i + 4]
+                    (zhat, a), d_zhat = acts[i, :, :m], d_z  # d_zhat becomes d_z in place
+                    np.multiply(np.greater(a, 0, out=d_y), d_h, out=d_y)
+                    np.add.reduce(np.multiply(d_y, self.params[4 * i + 2], out=d_zhat), 0, out=t)
+                    np.add.reduce(np.multiply(d_zhat, zhat, out=tmp), 0, out=t2)
+                    d_zhat *= m
+                    d_zhat -= t
+                    d_zhat -= np.multiply(zhat, t2, out=tmp)
+                    d_zhat *= inv[i]
+                    np.matmul((acts[i - 1, 1, :m] if i else x_in).T, d_z, out=g_w)
+                    np.add.reduce(d_z, 0, out=g_b)
+                    np.add.reduce(d_y, 0, out=g_beta)
+                    np.add.reduce(np.multiply(d_y, zhat, out=d_y), 0, out=g_gamma)
                     if i > 0:  # layer 0's input is the data
-                        d_h = d_z @ self.params[4 * i].T
+                        np.matmul(d_z, self.params[4 * i].T, out=d_h)
                 velocity *= 0.9
-                velocity -= SURROGATE_LR * grad
+                velocity -= np.multiply(SURROGATE_LR, grad, out=grad)  # each step rewrites grad
                 flat += velocity
 
 

@@ -652,6 +652,8 @@ def _read_jsonl(path: str, fmt: str, build: Callable[[dict], Trace | Query]) -> 
                     )
                 continue
             try:
+                if not isinstance(doc, dict):
+                    raise TypeError(f"{type(doc).__name__}, not an object")
                 rec = build(doc)
                 first = id_lines.setdefault(rec.id, lineno)
             except (KeyError, TypeError, ValueError) as exc:

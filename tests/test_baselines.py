@@ -164,6 +164,26 @@ def test_surrogate_keeps_its_recorded_bits(surrogate_model):
     assert hashlib.sha256("".join(parts).encode()).hexdigest() == SURROGATE_DIGEST
 
 
+# sha256 of SurrogateModel.train at n = 257 (its 1-row batch tail is skipped)
+# and n = 200 (a 72-row tail): the trained params and running statistics, then
+# predict on fixed inputs
+SURROGATE_TAIL_DIGEST = "c969d2941f27a443868dc7ec982c0bbc53891a6c0074f2c24c8319eb4c391d3a"
+
+
+def test_surrogate_batch_tails_keep_their_recorded_bits():
+    digest = hashlib.sha256()
+    for n in (257, 200):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 1.0, (n, 4))
+        y = rng.normal(0.0, 1.0, (n, 3))
+        model = baselines.SurrogateModel(np.random.default_rng(5))
+        model.train(x, y, np.random.default_rng(6))
+        for a in list(_arrays(model.params)) + list(_arrays(model.running)):
+            digest.update(f"{a.dtype}{a.shape}".encode() + a.tobytes())
+        digest.update(model.predict(x[:50]).tobytes())
+    assert digest.hexdigest() == SURROGATE_TAIL_DIGEST
+
+
 def test_trained_surrogate_keeps_its_parameter_layout():
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, 1.0, (40, 4))
@@ -181,6 +201,11 @@ def test_trained_surrogate_keeps_its_parameter_layout():
     before = model.predict(x)
     model.params[-1] += 1.0
     assert np.allclose(model.predict(x), before + model.y_std, rtol=0, atol=1e-12)
+    # four [mean, var] pairs, and predict reads the trained statistics themselves
+    assert [[s.shape for s in pair] for pair in model.running] == [[(hidden,)] * 2] * 4
+    before = model.predict(x)
+    model.running[0][0] += 1.0
+    assert not np.array_equal(model.predict(x), before)
 
 
 def test_surrogate_query_costs_one_call(surrogate_model):

@@ -313,6 +313,21 @@ def test_bad_record_values_are_data_errors(name, tmp_path, capsys, small_corpus)
         assert f"data error: {paths[kind]}:{lineno}: " in err, argv
         assert message in err, argv
 
+
+@pytest.mark.parametrize("kind", ["queries", "traces"])
+def test_record_that_is_no_object_is_a_data_error(kind, tmp_path, capsys, small_corpus):
+    # valid JSON but not an object: a data error naming the line, in either file
+    paths = _write_corpus(tmp_path, small_corpus)
+    with open(paths[kind], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[1] = "[1]\n"
+    with open(paths[kind], "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    code, _, err = _run(["eval", "--ablate", "wo_controller", "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert f"data error: {paths[kind]}:2: bad record: TypeError: list, not an object" in err
+
+
 UNREADABLE_RUN_FILES = {
     # (file, bytes, --ablate); each message starts with the file's path
     "bank_not_json": ("bank.json", b"{\n", "wo_controller"),
