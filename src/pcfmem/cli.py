@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import glob
 import json
+import math
 import os
 import sys
 
@@ -89,6 +90,11 @@ def load_config(path: str | None) -> RunConfig:
             raise CorpusFormatError(
                 f"config key {name!r} must be of type {want.__name__}, got {value!r}"
             )
+        # json reads NaN and +-Infinity
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CorpusFormatError(f"config key {name!r} must be finite, got {value!r}")
+    if raw.get("grad_clip", 1.0) <= 0.0:
+        raise CorpusFormatError(f"config key 'grad_clip' must be above 0, got {raw['grad_clip']!r}")
     if "ablation" in raw:
         raw["ablation"] = _canonical_ablation(raw["ablation"])
     return RunConfig(**raw)

@@ -7,7 +7,6 @@ No learned weights anywhere; identical strings always embed identically.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 
@@ -37,28 +36,32 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-# a pure function of the token; a corpus has tens of thousands of distinct
-# tokens and bigrams
-@functools.lru_cache(maxsize=None)
-def _bucket(token: str) -> tuple[int, float]:
-    h = fnv1a64(token)
-    idx = h % TEXT_DIM
-    sign = 1.0 if (h >> 32) & 1 == 0 else -1.0
-    return idx, sign
+# one int object per slot: most slots are above CPython's cached small ints
+_SLOT_INTS = tuple(range(2 * TEXT_DIM))
+
+
+class _Slots(dict):
+    """Gram (a token, or two tokens joined by a space) -> its FNV bucket,
+    plus TEXT_DIM when its sign is -1."""
+
+    def __missing__(self, gram: str) -> int:
+        h = fnv1a64(gram)
+        slot = self[gram] = _SLOT_INTS[h % TEXT_DIM + ((h >> 32) & 1) * TEXT_DIM]
+        return slot
+
+
+_SLOTS = _Slots()  # a corpus has tens of thousands of distinct grams
 
 
 def embed_text(text: str) -> np.ndarray:
-    vec = np.zeros(TEXT_DIM, dtype=np.float64)
     tokens = tokenize(text)
-    for tok in tokens:
-        idx, sign = _bucket(tok)
-        vec[idx] += sign
-    for a, b in zip(tokens, tokens[1:]):
-        idx, sign = _bucket(a + " " + b)
-        vec[idx] += sign
-    norm = math.sqrt(float(np.dot(vec, vec)))
-    if norm > 0.0:
-        vec /= norm
+    grams = tokens + [a + " " + b for a, b in zip(tokens, tokens[1:])]
+    # bucket sums are small integers, exact in float64 in any order
+    counts = np.bincount(list(map(_SLOTS.__getitem__, grams)), minlength=2 * TEXT_DIM)
+    vec = (counts[:TEXT_DIM] - counts[TEXT_DIM:]).astype(np.float64)
+    n = norm(vec)
+    if n > 0.0:
+        vec /= n
     return vec
 
 
@@ -66,13 +69,19 @@ class TextVectors(dict):
     """Text -> its ``embed_text`` vector, embedded on first lookup, read-only.
 
     Keyed on the text itself, so a rewritten statement or description is a
-    new key and a stored vector never goes stale.
+    new key and a stored vector never goes stale. ``norms[text]`` is the
+    vector's norm as ``cosine`` computes it, stored beside the vector.
     """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.norms: dict[str, float] = {}
 
     def __missing__(self, text: str) -> np.ndarray:
         vec = embed_text(text)
         vec.flags.writeable = False
         self[text] = vec
+        self.norms[text] = norm(vec)
         return vec
 
 
@@ -95,11 +104,18 @@ def embed_numeric(geom, res) -> np.ndarray:
     return feats
 
 
+def norm(v: np.ndarray) -> float:
+    return math.sqrt(float(np.dot(v, v)))
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
+    return cosine_from_norms(a, norm(a), b, norm(b))
+
+
+def cosine_from_norms(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """``cosine(a, b)`` given both norms; a zero norm gives 0.0."""
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b)) / (na * nb)

@@ -53,17 +53,14 @@ def token_f1(pred: str, truth: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _contains(tokens: list[str], form: tuple[str, ...]) -> bool:
-    n = len(form)
-    return any(tuple(tokens[i : i + n]) == form for i in range(len(tokens) - n + 1))
-
-
 def concept_coverage(pred: str) -> float:
     tokens = embed.tokenize(pred)
+    # every concept form is one or two tokens long
+    grams = set(zip(tokens)) | set(zip(tokens, tokens[1:]))
     hit = sum(
         1
         for forms in CONCEPT_FORMS.values()
-        if any(_contains(tokens, f) for f in forms)
+        if any(f in grams for f in forms)
     )
     return hit / len(CONCEPT_FORMS)
 
@@ -242,7 +239,7 @@ def answer_query(
     """
     if query.qtype == "failure_analysis":
         return _answer_failure(bank, query)
-    retrieved = memory.retrieve(bank, texts[query.text], ANSWER_K)
+    retrieved, _ = memory.retrieve(bank, texts[query.text], ANSWER_K)
     if query.qtype == "trend_prediction":
         return _answer_trend(query, retrieved)
     if query.qtype == "parameter_adjustment":

@@ -139,18 +139,23 @@ class MemoryBank:
         return self.texts[entry.statement]
 
 
-def retrieve(bank: MemoryBank, query: np.ndarray, k: int = 5) -> list[MemoryEntry]:
-    """Top-k active entries by cosine similarity, ascending-id tie-break."""
+def retrieve(bank: MemoryBank, query: np.ndarray, k: int = 5) -> tuple[list, list[float]]:
+    """Top-k active entries by cosine similarity, ascending-id tie-break,
+    and their similarities to ``query``, in the same order."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if query.shape != (embed.TEXT_DIM,):
+        raise ValueError(f"dimension mismatch: {query.shape} vs {(embed.TEXT_DIM,)}")
+    q_norm = embed.norm(query)
     scored = []
     for e in bank.entries:
         if e.archived:
             continue
-        sim = embed.cosine(query, bank.embedding_of(e))
-        scored.append((-sim, e.id, e))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [e for _, _, e in scored[:k]]
+        vec = bank.embedding_of(e)
+        sim = embed.cosine_from_norms(query, q_norm, vec, bank.texts.norms[e.statement])
+        scored.append((sim, e.id, e))
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return [e for _, _, e in scored[:k]], [sim for sim, _, _ in scored[:k]]
 
 
 def _apply_one(bank: MemoryBank, edit: MemoryEdit) -> EditOutcome:

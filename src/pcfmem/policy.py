@@ -121,11 +121,12 @@ def load_checkpoint(path: str) -> tuple[dict, int]:
     return params, int(arrays["seed"][0])
 
 
-def pool_memory(span_emb: np.ndarray, entry_embs: list[np.ndarray]) -> np.ndarray:
-    """Similarity-weighted softmax pooling of retrieved-entry embeddings."""
+def pool_memory(entry_embs: list[np.ndarray], sims: list[float]) -> np.ndarray:
+    """Softmax pooling of retrieved-entry embeddings, weighted by their cosine
+    similarities to the span (the scores ``memory.retrieve`` returns)."""
     if not entry_embs:
         return np.zeros(embed.TEXT_DIM)
-    sims = np.array([embed.cosine(span_emb, e) for e in entry_embs])
+    sims = np.array(sims)
     w = np.exp(sims - sims.max())
     w /= w.sum()
     pooled = np.zeros(embed.TEXT_DIM)
@@ -135,18 +136,18 @@ def pool_memory(span_emb: np.ndarray, entry_embs: list[np.ndarray]) -> np.ndarra
 
 
 def build_context(
-    span_emb: np.ndarray, numeric: np.ndarray, entry_embs: list[np.ndarray]
+    span_emb: np.ndarray, numeric: np.ndarray, entry_embs: list[np.ndarray], sims: list[float]
 ) -> np.ndarray:
-    return np.concatenate([span_emb, numeric, pool_memory(span_emb, entry_embs)])
+    return np.concatenate([span_emb, numeric, pool_memory(entry_embs, sims)])
 
 
 def encode_context(params: dict, contexts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Context rows of a batch of episodes and one forward pass over them.
 
-    ``contexts[i]`` is (span_emb, numeric, entry_embs) for a live slot, or
-    None for a finished one, whose row stays zero. The batch height is
-    always ``len(contexts)``: a row's bits depend on the height of the
-    matrix product, not on the other rows' values. Returns (x, h, v).
+    ``contexts[i]`` is (span_emb, numeric, entry_embs, sims) for a live
+    slot, or None for a finished one, whose row stays zero. The batch
+    height is always ``len(contexts)``: a row's bits depend on the height of
+    the matrix product, not on the other rows' values. Returns (x, h, v).
     """
     x = np.zeros((len(contexts), IN_DIM))
     for row, ctx in zip(x, contexts):

@@ -103,9 +103,9 @@ def run_episode(
     for idx in range(max((len(t.spans) for t in traces), default=0)):
         live = [i for i, t in enumerate(traces) if idx < len(t.spans)]
         span_embs = {i: cache.span_text(traces[i], idx) for i in live}
-        retrieved = {
-            i: memory.retrieve(eps[i].mem_bank, span_embs[i], k_retrieve) for i in live
-        }
+        retrieved, sims = {}, {}
+        for i in live:
+            retrieved[i], sims[i] = memory.retrieve(eps[i].mem_bank, span_embs[i], k_retrieve)
         if params is not None:
             contexts: list = [None] * len(traces)
             for i in live:
@@ -113,6 +113,7 @@ def run_episode(
                     span_embs[i],
                     cache.span_numeric(traces[i], idx),
                     [eps[i].mem_bank.embedding_of(e) for e in retrieved[i]],
+                    sims[i],
                 )
             x, h, values = policy.encode_context(params, contexts)
             z = policy.skill_logits(h, u_mat, bias)

@@ -104,6 +104,34 @@ def test_config_validation(tmp_path, capsys):
     assert loaded.learning_rate == 1
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"grad_clip": NaN}', "'grad_clip'"),
+        ('{"grad_clip": -1.0}', "'grad_clip'"),
+        ('{"grad_clip": 0}', "'grad_clip'"),
+        ('{"learning_rate": Infinity}', "'learning_rate'"),
+        ('{"bias_b0": -Infinity}', "'bias_b0'"),
+    ],
+)
+def test_non_finite_or_non_positive_clip_config_is_a_data_error(
+    text, key, tmp_path, capsys, small_corpus
+):
+    paths = cli._data_paths(str(tmp_path))
+    datagen.save_traces(paths["traces"], small_corpus["traces"])
+    datagen.save_queries(paths["queries"], small_corpus["queries"])
+    (tmp_path / "splits.json").write_text(json.dumps(small_corpus["splits"]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text[:-1] + ', "batch": 2}')
+    code, _, err = _run(
+        ["evolve", "--config", str(cfg), "--outer", "1", "--inner", "1", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == cli.EXIT_DATA, text
+    assert f"config key {key}" in err, text
+    assert not (tmp_path / "results.json").exists()
+
+
 MALFORMED_SPLITS = {
     "unknown_test_id": (
         ["eval", "--ablate", "wo_controller"],

@@ -1,11 +1,12 @@
 """Hash-embedding checks: tokenizer, FNV vectors, vector-space properties."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from pcfmem import embed
+from pcfmem import embed, skills
 from pcfmem.physics import Geometry, SimResult
 
 
@@ -84,6 +85,53 @@ def test_embed_text_unit_norm_and_deterministic():
     assert v1.shape == (embed.TEXT_DIM,)
     assert abs(np.linalg.norm(v1) - 1.0) < 1e-12
     assert np.array_equal(v1, v2)
+
+
+def _embed_text_reference(text: str) -> np.ndarray:
+    """The per-token loop: add each unigram's and bigram's sign into its bucket."""
+    vec = np.zeros(embed.TEXT_DIM, dtype=np.float64)
+    tokens = embed.tokenize(text)
+    grams = tokens + [a + " " + b for a, b in zip(tokens, tokens[1:])]
+    for gram in grams:
+        h = embed.fnv1a64(gram)
+        vec[h % embed.TEXT_DIM] += 1.0 if (h >> 32) & 1 == 0 else -1.0
+    norm = math.sqrt(float(np.dot(vec, vec)))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def _cancelling_text() -> str:
+    """Two tokens with opposite signs in one bucket and no other gram there."""
+    first = {}
+    for i in range(100000):
+        tok = f"w{i}"
+        h = embed.fnv1a64(tok)
+        idx, sign = h % embed.TEXT_DIM, (h >> 32) & 1
+        if (idx, 1 - sign) in first:
+            text = f"{first[idx, 1 - sign]} {tok}"  # also the bigram
+            if embed.fnv1a64(text) % embed.TEXT_DIM != idx:
+                return text
+        first.setdefault((idx, sign), tok)
+    raise AssertionError("no cancelling pair found")
+
+
+def test_embed_text_matches_the_per_token_loop_bit_for_bit(small_corpus):
+    texts = [s.text for t in small_corpus["traces"] for s in t.spans]
+    texts += [q.text for q in small_corpus["queries"]]
+    texts += [s.description for s in skills.initial_bank().skills]
+    cancelling = _cancelling_text()
+    texts += [
+        "",
+        "pitch",
+        cancelling,
+        "Pitch 2.3\u00b5m \u2192 \u0394n_eff: \u4e2d\u6587 \u0416\u0436 caf\u00e9 \U0001d400x",
+    ]
+    for text in texts:
+        assert embed.embed_text(text).tobytes() == _embed_text_reference(text).tobytes(), text
+    a, b = cancelling.split()
+    assert embed.fnv1a64(a) % embed.TEXT_DIM == embed.fnv1a64(b) % embed.TEXT_DIM
+    assert embed.embed_text(cancelling)[embed.fnv1a64(a) % embed.TEXT_DIM] == 0.0
 
 
 def test_embed_text_empty_is_zero_vector():

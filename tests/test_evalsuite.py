@@ -1,6 +1,7 @@
 """Protocol metrics and the per-type answering paths."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -31,6 +32,31 @@ def test_concept_coverage():
         "the design targets dispersion and loss at wavelength 1 55 um"
     ) == pytest.approx(3 / 7)
     assert evalsuite.concept_coverage("") == 0.0
+
+
+def _coverage_reference(pred: str) -> float:
+    """The windowed scan: each form against every token window of its length."""
+    tokens = embed.tokenize(pred)
+
+    def contains(form):
+        n = len(form)
+        return any(tuple(tokens[i : i + n]) == form for i in range(len(tokens) - n + 1))
+
+    hit = sum(1 for forms in evalsuite.CONCEPT_FORMS.values() if any(map(contains, forms)))
+    return hit / len(evalsuite.CONCEPT_FORMS)
+
+
+def test_concept_coverage_matches_the_windowed_scan():
+    forms = [f for fs in evalsuite.CONCEPT_FORMS.values() for f in fs]
+    assert all(len(f) in (1, 2) for f in forms)
+    words = sorted({w for f in forms for w in f}) + ["the", "a", "of", "to", "pitch2", "neff"]
+    rng = random.Random(20)
+    for _ in range(2000):
+        pred = rng.choice(["", " ", "; "]).join(
+            rng.choice(words).upper() if rng.random() < 0.1 else rng.choice(words)
+            for _ in range(rng.randint(0, 12))
+        )
+        assert evalsuite.concept_coverage(pred) == _coverage_reference(pred), pred
 
 
 def test_param_accuracy_strict_band():

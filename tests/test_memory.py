@@ -170,10 +170,11 @@ def test_retrieve_ranking_and_tie_break():
         ],
     )
     query = embed.embed_text("pitch raises dispersion strongly")
-    got = memory.retrieve(bank, query, k=3)
+    got, sims = memory.retrieve(bank, query, k=3)
     # identical statements tie on similarity; ascending id breaks the tie
     assert [e.id for e in got[:2]] == [1, 2]
     assert got[2].id == 3
+    assert sims[0] == sims[1] > sims[2]
 
     with pytest.raises(ValueError):
         memory.retrieve(bank, query, k=0)
@@ -185,7 +186,64 @@ def test_retrieve_skips_archived():
     eid = bank.active()[0].id
     memory.apply_edits(bank, [MemoryEdit(op="DELETE", target_id=eid, rationale="x")])
     query = embed.embed_text("pitch raises dispersion")
-    assert memory.retrieve(bank, query, k=5) == []
+    assert memory.retrieve(bank, query, k=5) == ([], [])
+
+
+def _bank_of(statements):
+    """A bank with one active entry per statement, each under its own key."""
+    keys = [
+        MemoryKey(p, m, b, r)
+        for p in ("pitch", "hole_d", "n_rings")
+        for m in ("dispersion", "loss", "n_eff")
+        for b in memory.LAMBDA_BUCKETS
+        for r in memory.REGIMES
+    ]
+    assert len(statements) <= len(keys)
+    bank = MemoryBank()
+    _, outs = memory.apply_edits(
+        bank, [_insert(text, key=key) for text, key in zip(statements, keys)]
+    )
+    assert all(o.status == "applied" for o in outs)
+    return bank
+
+
+def test_retrieve_scores_are_the_cosines_it_ranks_by(small_corpus):
+    traces = small_corpus["traces"]
+    statements = [s.text for s in traces[0].spans + traces[1].spans][:20]
+    bank = _bank_of(statements)
+    memory.apply_edits(bank, [MemoryEdit(op="DELETE", target_id=3, rationale="x")])
+    queries = [s.text for t in traces[2:6] for s in t.spans]
+    queries += [q.text for q in small_corpus["queries"][:40]]
+    for text in queries:
+        query = embed.embed_text(text)
+        got, sims = memory.retrieve(bank, query, k=len(statements))
+        fresh = [embed.cosine(query, embed.embed_text(e.statement)) for e in got]
+        assert np.array(sims).tobytes() == np.array(fresh).tobytes(), text
+        want = sorted(
+            bank.active(), key=lambda e: (-embed.cosine(query, bank.embedding_of(e)), e.id)
+        )
+        assert got == want
+        top, top_sims = memory.retrieve(bank, query, k=5)
+        assert top == got[:5] and top_sims == sims[:5]
+
+
+def test_retrieve_scores_a_statement_without_tokens_zero():
+    bank = _bank_of(["!!!", "loss falls fast", "", "-- ..", "loss falls"])
+    got, sims = memory.retrieve(bank, embed.embed_text("loss falls"), k=5)
+    assert [e.id for e in got] == [5, 2, 1, 3, 4]
+    assert sims[1] > 0.0 and sims[2:] == [0.0] * 3
+    # a query without tokens scores every entry 0.0 and ranks them by id
+    got, sims = memory.retrieve(bank, embed.embed_text("?!"), k=5)
+    assert [e.id for e in got] == [1, 2, 3, 4, 5]
+    assert sims == [0.0] * 5
+
+
+def test_retrieve_rejects_a_query_of_the_wrong_dimension():
+    bank = _bank_of(["pitch raises dispersion"])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        memory.retrieve(bank, np.ones(embed.TEXT_DIM + 1), k=5)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        memory.retrieve(bank, np.ones(8), k=5)
 
 
 def test_snapshot_round_trip():

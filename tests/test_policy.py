@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from pcfmem import policy, trainer
+from pcfmem import embed, memory, policy, trainer
 
 
 def brute_logprob(z, action):
@@ -162,13 +162,53 @@ def test_encode_context_leaves_finished_slots_zero():
     rng = np.random.default_rng(12)
     span_emb = rng.normal(0.0, 1.0, 256)
     entries = [rng.normal(0.0, 1.0, 256) for _ in range(3)]
-    live = (span_emb, rng.normal(0.0, 1.0, 8), entries)
+    live = (span_emb, rng.normal(0.0, 1.0, 8), entries, [0.3, -0.1, 0.7])
     x, h, v = policy.encode_context(params, [None, live, None])
     assert x.shape == (3, policy.IN_DIM)
     assert np.all(x[[0, 2]] == 0.0)
     assert np.array_equal(x[1], policy.build_context(*live))
     fwd = policy.forward_batch(params, x)
     assert np.array_equal(h, fwd["h"]) and np.array_equal(v, fwd["v"])
+
+
+def _pool_with_fresh_cosines(span_emb, entry_embs):
+    """Memory pooling that computes each cosine itself, as a reference."""
+    if not entry_embs:
+        return np.zeros(embed.TEXT_DIM)
+    sims = np.array([embed.cosine(span_emb, e) for e in entry_embs])
+    w = np.exp(sims - sims.max())
+    w /= w.sum()
+    pooled = np.zeros(embed.TEXT_DIM)
+    for wi, e in zip(w, entry_embs):
+        pooled += wi * e
+    return pooled
+
+
+def test_context_from_retrieved_scores_matches_fresh_cosines(small_corpus):
+    rng = np.random.default_rng(5)
+    trace, other = small_corpus["traces"][:2]
+    bank = memory.MemoryBank()
+    for i, span in enumerate(other.spans):
+        entry = memory.MemoryEntry(
+            id=0,
+            key=memory.MemoryKey("pitch", "loss", "1.55-band", f"regime{i}"),
+            kind="trend",
+            statement=span.text,
+            direction=1,
+            slope=0.0,
+        )
+        memory.apply_edits(bank, [memory.MemoryEdit(op="INSERT", entry=entry)])
+    for k in (1, 3, len(bank.entries)):
+        for span in trace.spans:
+            span_emb = embed.embed_text(span.text)
+            numeric = rng.random(embed.NUMERIC_DIM)
+            entries, sims = memory.retrieve(bank, span_emb, k)
+            embs = [bank.embedding_of(e) for e in entries]
+            row = policy.build_context(span_emb, numeric, embs, sims)
+            want = np.concatenate([span_emb, numeric, _pool_with_fresh_cosines(span_emb, embs)])
+            assert row.tobytes() == want.tobytes()
+    empty = policy.build_context(span_emb, numeric, [], [])
+    assert empty.tobytes() == np.concatenate([span_emb, numeric, np.zeros(256)]).tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path):
