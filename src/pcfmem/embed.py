@@ -69,19 +69,13 @@ class TextVectors(dict):
     """Text -> its ``embed_text`` vector, embedded on first lookup, read-only.
 
     Keyed on the text itself, so a rewritten statement or description is a
-    new key and a stored vector never goes stale. ``norms[text]`` is the
-    vector's norm as ``cosine`` computes it, stored beside the vector.
+    new key and a stored vector never goes stale.
     """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.norms: dict[str, float] = {}
 
     def __missing__(self, text: str) -> np.ndarray:
         vec = embed_text(text)
         vec.flags.writeable = False
         self[text] = vec
-        self.norms[text] = norm(vec)
         return vec
 
 

@@ -114,11 +114,25 @@ class EditOutcome:
     status: str  # applied | duplicate | rejected | noop
 
 
+class _StatementVectors(embed.TextVectors):
+    """A bank's statement vectors, each with its norm as ``embed.cosine``
+    computes it in ``norms[statement]``; only ``retrieve`` reads norms."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.norms: dict[str, float] = {}
+
+    def __missing__(self, text: str) -> np.ndarray:
+        vec = super().__missing__(text)
+        self.norms[text] = embed.norm(vec)
+        return vec
+
+
 class MemoryBank:
     def __init__(self) -> None:
         self.entries: list[MemoryEntry] = []
         self.next_id: int = 1
-        self.texts = embed.TextVectors()
+        self.texts = _StatementVectors()
 
     def active(self) -> list[MemoryEntry]:
         return [e for e in self.entries if not e.archived]

@@ -4,12 +4,15 @@ Geometry is a hexagonal-lattice holey fiber described by pitch (um), hole
 diameter (um) and ring count. Properties come from a fused-silica Sellmeier
 index with an air-fill correction to the effective index, a 5-point
 finite-difference chromatic dispersion, and an exponential ring-count
-confinement-loss law. Every successful property evaluation is charged to a
-CallCounter; invalid inputs raise before any charge.
+confinement-loss law. One kernel computes all three; the silica index at
+the five stencil wavelengths is memoised per wavelength. Every successful
+property evaluation is charged to a CallCounter; invalid inputs raise
+before any charge and before any lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +50,10 @@ _LOSS_KAPPA = 3.0
 _LOSS_S = 4.0
 
 _DISP_PREF = 1.0e4 / 2.99792458
+_FD_DENOM = 12.0 * FD_STEP_UM * FD_STEP_UM
+
+# distinct wavelengths whose stencil stays memoised; a corpus uses two
+_STENCIL_CACHE_SIZE = 256
 
 
 def _sellmeier_n(lam: float) -> float:
@@ -57,29 +64,6 @@ def _sellmeier_n(lam: float) -> float:
         + _B3 * l2 / (l2 - _C3)
     )
     return math.sqrt(1.0 + s)
-
-
-def _n_eff(pitch: float, dratio: float, lam: float) -> float:
-    base = _sellmeier_n(lam)
-    rel = lam / pitch
-    return base - _FILL_A * dratio**_FILL_P * rel * rel
-
-
-def _confinement_loss(pitch: float, dratio: float, n_rings: float, lam: float) -> float:
-    rel = lam / pitch
-    return _LOSS_ALPHA_MAX * math.exp(-_LOSS_KAPPA * n_rings * dratio) * rel**_LOSS_S
-
-
-def _dispersion_fd(pitch: float, dratio: float, lam: float, h: float) -> float:
-    # 5-point central second derivative of n_eff wrt wavelength
-    f_m2 = _n_eff(pitch, dratio, lam - 2.0 * h)
-    f_m1 = _n_eff(pitch, dratio, lam - h)
-    f_0 = _n_eff(pitch, dratio, lam)
-    f_p1 = _n_eff(pitch, dratio, lam + h)
-    f_p2 = _n_eff(pitch, dratio, lam + 2.0 * h)
-    d2 = (-f_m2 + 16.0 * f_m1 - 30.0 * f_0 + 16.0 * f_p1 - f_p2) / (12.0 * h * h)
-    return -_DISP_PREF * lam * d2
-
 
 
 class InvalidGeometry(ValueError):
@@ -170,13 +154,25 @@ class TargetSpec:
 
 
 def target_from_dict(d: dict) -> TargetSpec:
-    return TargetSpec(
+    """The TargetSpec ``d`` describes; a non-finite value, an out-of-band
+    wavelength or a tolerance at or below 0 raises ValueError."""
+    target = TargetSpec(
         dispersion_ps_nm_km=float(d["dispersion_ps_nm_km"]),
         loss_db_km=float(d["loss_db_km"]),
         lambda_um=float(d["lambda_um"]),
         tol_dispersion=float(d.get("tol_dispersion", TOL_DISPERSION)),
         tol_loss=float(d.get("tol_loss", TOL_LOSS)),
     )
+    # not vars(target): that would give every kept TargetSpec a __dict__
+    for name, value in target.as_dict().items():
+        if not math.isfinite(value):
+            raise ValueError(f"target {name} {value!r} is not finite")
+    validate_wavelength(target.lambda_um)
+    if min(target.tol_dispersion, target.tol_loss) <= 0.0:
+        raise ValueError(
+            f"target tolerances {target.tol_dispersion!r} and {target.tol_loss!r} must be above 0"
+        )
+    return target
 
 
 def geometry_from_dict(d: dict) -> Geometry:
@@ -239,40 +235,57 @@ def geometry_valid(geom: Geometry) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=_STENCIL_CACHE_SIZE)
+def _stencil(lam: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The five dispersion-stencil wavelengths around ``lam`` and the silica
+    index at each."""
+    h = FD_STEP_UM
+    lams = (lam - 2.0 * h, lam - h, lam, lam + h, lam + 2.0 * h)
+    return lams, tuple(_sellmeier_n(w) for w in lams)
+
+
+def _properties(geom: Geometry, lam: float) -> tuple[float, float, float]:
+    """(n_eff, dispersion, loss) of ``geom`` at ``lam``; raises on invalid
+    input before any lookup, so a bad wavelength is never memoised."""
+    validate_geometry(geom)
+    validate_wavelength(lam)
+    lam = float(lam)  # a numpy scalar must not become a memo key
+    pitch, dratio = geom.pitch_um, geom.dratio
+    (w_m2, w_m1, _, w_p1, w_p2), (n_m2, n_m1, n_0, n_p1, n_p2) = _stencil(lam)
+    # n_eff is the silica index less the air-fill term, at each stencil point
+    fill = _FILL_A * dratio**_FILL_P
+    rel = lam / pitch
+    f_m2 = n_m2 - fill * (w_m2 / pitch) * (w_m2 / pitch)
+    f_m1 = n_m1 - fill * (w_m1 / pitch) * (w_m1 / pitch)
+    f_0 = n_0 - fill * rel * rel
+    f_p1 = n_p1 - fill * (w_p1 / pitch) * (w_p1 / pitch)
+    f_p2 = n_p2 - fill * (w_p2 / pitch) * (w_p2 / pitch)
+    # 5-point central second derivative of n_eff wrt wavelength
+    d2 = (-f_m2 + 16.0 * f_m1 - 30.0 * f_0 + 16.0 * f_p1 - f_p2) / _FD_DENOM
+    alpha = _LOSS_ALPHA_MAX * math.exp(-_LOSS_KAPPA * float(geom.n_rings) * dratio)
+    return float(f_0), float(-_DISP_PREF * lam * d2), float(alpha * rel**_LOSS_S)
+
+
 def sellmeier_index(lambda_um: float) -> float:
     validate_wavelength(lambda_um)
     return float(_sellmeier_n(lambda_um))
 
 
 def effective_index(geom: Geometry, lambda_um: float) -> float:
-    validate_geometry(geom)
-    validate_wavelength(lambda_um)
-    return float(_n_eff(geom.pitch_um, geom.dratio, lambda_um))
+    return _properties(geom, lambda_um)[0]
 
 
 def dispersion(geom: Geometry, lambda_um: float) -> float:
-    validate_geometry(geom)
-    validate_wavelength(lambda_um)
-    return float(_dispersion_fd(geom.pitch_um, geom.dratio, lambda_um, FD_STEP_UM))
+    return _properties(geom, lambda_um)[1]
 
 
 def loss(geom: Geometry, lambda_um: float) -> float:
-    validate_geometry(geom)
-    validate_wavelength(lambda_um)
-    return float(
-        _confinement_loss(geom.pitch_um, geom.dratio, float(geom.n_rings), lambda_um)
-    )
+    return _properties(geom, lambda_um)[2]
 
 
 def simulate(geom: Geometry, lambda_um: float, counter: CallCounter) -> SimResult:
     """One charged property evaluation. Raises (uncharged) on invalid input."""
-    validate_geometry(geom)
-    validate_wavelength(lambda_um)
-    ne = float(_n_eff(geom.pitch_um, geom.dratio, lambda_um))
-    dd = float(_dispersion_fd(geom.pitch_um, geom.dratio, lambda_um, FD_STEP_UM))
-    al = float(
-        _confinement_loss(geom.pitch_um, geom.dratio, float(geom.n_rings), lambda_um)
-    )
+    ne, dd, al = _properties(geom, lambda_um)
     counter.tick()
     return SimResult(n_eff=ne, dispersion_ps_nm_km=dd, loss_db_km=al, lambda_um=lambda_um)
 

@@ -118,6 +118,8 @@ def load_checkpoint(path: str) -> tuple[dict, int]:
                 f"{path}: checkpoint {k} has shape {arrays[k].shape}, expected {PARAM_SHAPES[k]}"
             )
         params[k][...] = arrays[k]
+        if not np.isfinite(params[k]).all():
+            raise ValueError(f"{path}: checkpoint {k} is not finite")
     return params, int(arrays["seed"][0])
 
 

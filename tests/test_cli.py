@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pcfmem
-from pcfmem import cli, datagen, skills, trainer
+from pcfmem import cli, datagen, policy, skills, trainer
 from pcfmem.datagen import CorpusFormatError
 
 
@@ -340,6 +340,65 @@ def test_bad_record_values_are_data_errors(name, tmp_path, capsys, small_corpus)
         assert code == cli.EXIT_DATA, argv
         assert f"data error: {paths[kind]}:{lineno}: " in err, argv
         assert message in err, argv
+
+
+BAD_TARGETS = {
+    # (file, field, value, message); each corpus loaded before the reader
+    # checked targets, and a NaN loss target scored every baseline answer 0
+    "query_nan_loss": ("queries", "loss_db_km", float("nan"), "target loss_db_km nan is not finite"),
+    "query_infinite_dispersion": (
+        "queries", "dispersion_ps_nm_km", float("inf"), "target dispersion_ps_nm_km inf is not finite",
+    ),
+    "query_out_of_band": ("queries", "lambda_um", 1.1, "wavelength 1.1 um outside [1.2, 1.7]"),
+    "query_zero_tolerance": ("queries", "tol_loss", 0.0, "tolerances 5.0 and 0.0 must be above 0"),
+    "trace_nan_loss": ("traces", "loss_db_km", float("nan"), "target loss_db_km nan is not finite"),
+    "trace_negative_tolerance": (
+        "traces", "tol_dispersion", -5.0, "tolerances -5.0 and 0.001 must be above 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TARGETS))
+def test_non_finite_or_impossible_target_is_a_data_error(name, tmp_path, capsys, small_corpus):
+    kind, field, value, message = BAD_TARGETS[name]
+    paths = _write_corpus(tmp_path, small_corpus)
+    test_ids = set(small_corpus["splits"]["test"])
+    with open(paths[kind], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    # break the target of the first test-split record that has one
+    for lineno, line in enumerate(lines[1:], start=2):
+        doc = json.loads(line)
+        if kind == "traces" and doc["id"] in test_ids:
+            doc["target"][field] = value
+            break
+        if kind == "queries" and doc["type"] == "parameter_adjustment" and (
+            doc["trace_ids"][0] in test_ids
+        ):
+            doc["ground_truth"]["target"][field] = value
+            break
+    lines[lineno - 1] = json.dumps(doc) + "\n"
+    with open(paths[kind], "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    for argv in (["baseline", "--kind", "random_search"], ["eval", "--ablate", "wo_controller"]):
+        code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_DATA, argv
+        assert f"data error: {paths[kind]}:{lineno}: " in err, argv
+        assert message in err, argv
+
+
+def test_non_finite_checkpoint_is_a_data_error(tmp_path, capsys, small_corpus):
+    _write_corpus(tmp_path, small_corpus)
+    ckpt = tmp_path / "checkpoint.npz"
+    params = policy.init_params(np.random.default_rng(0))
+    policy.save_checkpoint(str(ckpt), params, 0)
+    code, _, _ = _run(["eval", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    # NaN logits pick skills in index order, so this evaluated with exit 0
+    params["w1"][0, 0] = np.nan
+    policy.save_checkpoint(str(ckpt), params, 0)
+    code, _, err = _run(["eval", "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_DATA
+    assert err.startswith(f"data error: {ckpt}: checkpoint w1 is not finite")
 
 
 @pytest.mark.parametrize("kind", ["queries", "traces"])

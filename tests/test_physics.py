@@ -5,6 +5,9 @@ of the closed-form index model and its analytic wavelength derivatives, not
 with this package.
 """
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,82 @@ def test_simulate_fields_match_scalar_wrappers():
     assert res.dispersion_ps_nm_km == physics.dispersion(REF_GEOM, LAM)
     assert res.loss_db_km == physics.loss(REF_GEOM, LAM)
     assert res.lambda_um == LAM
+
+
+# pitch x d/pitch x rings x wavelength: both band wavelengths, the band
+# edges and one off-grid wavelength; digest recorded before the kernel rewrite
+_PIN_PITCHES = (1.0, 1.37, 2.3, 3.11, 4.0)
+_PIN_RATIOS = (0.12, 0.5, 0.77, 0.9)
+_PIN_RINGS = (3, 6, 10)
+_PIN_LAMBDAS = (1.31, 1.55, 1.2, 1.4373, 1.7)
+_PIN_DIGEST = "db156ede98b4e6fa1c3fe838d569e89a60ac7369e7301fd51e42db944c3718ed"
+
+
+def test_simulate_bits_match_recorded_digest():
+    h = hashlib.sha256()
+    c = CallCounter()
+    for lam in _PIN_LAMBDAS:
+        for pitch in _PIN_PITCHES:
+            for ratio in _PIN_RATIOS:
+                for rings in _PIN_RINGS:
+                    res = physics.simulate(Geometry(pitch, pitch * ratio, rings), lam, c)
+                    for v in (res.n_eff, res.dispersion_ps_nm_km, res.loss_db_km, res.lambda_um):
+                        h.update(float.hex(v).encode())
+    assert c.total_calls == 300
+    assert h.hexdigest() == _PIN_DIGEST
+
+
+def _reference_properties(pitch, dratio, n_rings, lam):
+    # the per-point formulas, each stencil point's silica index evaluated anew
+    def n_eff(w):
+        rel = w / pitch
+        return physics._sellmeier_n(w) - 0.08 * dratio**1.5 * rel * rel
+
+    h = physics.FD_STEP_UM
+    d2 = (
+        -n_eff(lam - 2.0 * h) + 16.0 * n_eff(lam - h) - 30.0 * n_eff(lam)
+        + 16.0 * n_eff(lam + h) - n_eff(lam + 2.0 * h)
+    ) / (12.0 * h * h)
+    rel = lam / pitch
+    loss = 1.0e3 * math.exp(-3.0 * float(n_rings) * dratio) * rel**4.0
+    return n_eff(lam), -(1.0e4 / 2.99792458) * lam * d2, loss
+
+
+def test_simulate_matches_the_per_point_formulas_bit_for_bit():
+    rng = np.random.default_rng(21)
+    c = CallCounter()
+    for i in range(3000):
+        pitch = float(rng.uniform(1.0, 4.0))
+        geom = Geometry(pitch, pitch * float(rng.uniform(0.01, 0.899)), int(rng.integers(3, 11)))
+        lam = (1.31, 1.55, float(rng.uniform(1.2, 1.7)))[i % 3]
+        res = physics.simulate(geom, np.float64(lam) if i % 5 == 0 else lam, c)
+        want = _reference_properties(geom.pitch_um, geom.dratio, geom.n_rings, lam)
+        assert (res.n_eff, res.dispersion_ps_nm_km, res.loss_db_km) == want, (geom, lam)
+    assert c.total_calls == 3000
+
+
+def _bits(res):
+    return tuple(float.hex(v) for v in (res.n_eff, res.dispersion_ps_nm_km, res.loss_db_km))
+
+
+def test_stencil_memo_keeps_bits_past_eviction_and_holds_no_bad_wavelength():
+    physics._stencil.cache_clear()
+    c = CallCounter()
+    # a numpy scalar first: the stencil it memoises must not change later results
+    from_numpy = physics.simulate(REF_GEOM, np.float64(1.4373), c)
+    assert from_numpy.n_eff == physics.effective_index(REF_GEOM, 1.4373)
+    assert [type(v) for v in (from_numpy.n_eff, from_numpy.dispersion_ps_nm_km)] == [float, float]
+    lams = [1.2 + 0.5 * i / 299 for i in range(300)]
+    first = [_bits(physics.simulate(REF_GEOM, lam, c)) for lam in lams]
+    info = physics._stencil.cache_info()
+    assert info.currsize == info.maxsize == 256
+    # the first wavelengths were evicted; recomputing them gives the same bits
+    assert [_bits(physics.simulate(REF_GEOM, lam, c)) for lam in lams[:20]] == first[:20]
+    assert _bits(physics.simulate(REF_GEOM, 1.4373, c)) == _bits(from_numpy)
+    # a bad wavelength raises before the lookup: no hit, no miss, no entry
+    calls, info = c.total_calls, physics._stencil.cache_info()
+    for lam in (1.75, 1.1999, float("nan")):
+        with pytest.raises(physics.BandError):
+            physics.simulate(REF_GEOM, lam, c)
+    assert c.total_calls == calls
+    assert physics._stencil.cache_info() == info
