@@ -97,9 +97,11 @@ def _check_choice(what: str, value, choices: tuple) -> None:
 
 
 def span_from_dict(d: dict) -> Span:
+    """The Span ``d`` describes; an invalid geometry or a sim value that is
+    not finite or in band raises ValueError."""
     param = d["edit"]["param"]
     _check_choice("edit param", param, physics.PARAMS)
-    return Span(
+    span = Span(
         index=int(d["index"]),
         text=d["text"],
         param=param,
@@ -110,6 +112,9 @@ def span_from_dict(d: dict) -> Span:
         sim_before=physics.sim_from_dict(d["sim_before"]),
         sim_after=physics.sim_from_dict(d["sim_after"]),
     )
+    physics.validate_geometry(span.geom_before)
+    physics.validate_geometry(span.geom_after)
+    return span
 
 
 @dataclass

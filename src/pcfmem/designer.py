@@ -76,7 +76,7 @@ def classify_failure(attempt: DesignAttempt, counter: CallCounter) -> str:
             continue
         if sign != 0 and e.direction != sign:
             return "wrong_trend"
-    if not any(e.kind in ("constraint", "boundary") for e in retrieved):
+    if not any(e.kind == "boundary" for e in retrieved):
         return "missing_constraint"
     if retrieved and retrieved[0].contradictions >= 2:
         return "outdated_knowledge"

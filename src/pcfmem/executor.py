@@ -99,15 +99,12 @@ def span_evidence(span: Span, target: TargetSpec) -> SpanEvidence:
     )
 
 
-def _entry_statement(ev: SpanEvidence, metric: str, scoped: bool) -> str:
+def _entry_statement(ev: SpanEvidence, metric: str) -> str:
     word = "rises" if ev.signs[metric] > 0 else "falls"
-    base = (
+    return (
         f"{metric} {word} as {ev.param} increases, slope {ev.slopes[metric]:.4g} per unit, "
         f"{ev.regime} fill regime"
     )
-    if scoped:
-        base += f", {ev.bucket}"
-    return base
 
 
 def _insert(
@@ -117,12 +114,11 @@ def _insert(
     statement: str,
     direction: int,
     slope: float,
-    observed: dict | None = None,
 ) -> MemoryEdit:
     """A new entry keyed on the span's parameter, bucket and regime.
 
     It starts at support 1 and confidence 0.5, at the span's geometry, and
-    records the span's observed metrics unless ``observed`` is given.
+    records the span's observed metrics.
     """
     entry = MemoryEntry(
         id=0,
@@ -133,14 +129,13 @@ def _insert(
         slope=slope,
         created_step=ev.step,
         geom=ev.geom_after,
-        observed=dict(ev.observed) if observed is None else observed,
+        observed=dict(ev.observed),
     )
     return MemoryEdit(op="INSERT", entry=entry)
 
 
 def _rule_insert_param_map(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
     theta = float(skill.params["theta_sig"])
-    scoped = bool(skill.params.get("lambda_scoped", 0))
     edits = []
     for m in physics.METRICS:
         if theta == 0.0:
@@ -149,14 +144,13 @@ def _rule_insert_param_map(skill: Skill, ev: SpanEvidence, retrieved) -> list[Me
             fire = ev.norm_deltas[m] >= theta
         if not fire or ev.signs[m] == 0:
             continue
-        statement = _entry_statement(ev, m, scoped)
+        statement = _entry_statement(ev, m)
         edits.append(_insert(ev, m, "param_map", statement, ev.signs[m], ev.slopes[m]))
     return edits
 
 
 def _rule_update_trend(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
-    regime_aware = bool(skill.params.get("regime_aware", 0))
-    calibrated = bool(skill.params.get("conf_calibrated", 0))
+    regime_aware = bool(skill.params["regime_aware"])
     edits = []
     for e in retrieved:
         if e.kind not in ("param_map", "trend"):
@@ -172,19 +166,13 @@ def _rule_update_trend(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memory
         if e.direction == ev.signs[m]:
             support = e.support_count + 1
             slope = (e.slope * e.support_count + ev.slopes[m]) / support
-            if calibrated:
-                spread = abs(ev.slopes[m] - e.slope) / (
-                    abs(ev.slopes[m]) + abs(e.slope) + 1e-12
-                )
-                conf = (support / (support + 1.0)) * (1.0 - 0.5 * spread)
-            else:
-                conf = min(1.0, support / 5.0)
+            conf = min(1.0, support / 5.0)
             changes = {"slope": slope, "support_count": support, "confidence": conf}
             if ev.miss_after < (e.observed or {}).get("miss", float("inf")):
                 changes.update(geom=ev.geom_after, observed=dict(ev.observed))
             edits.append(MemoryEdit(op="UPDATE", target_id=e.id, changes=changes))
         elif regime_aware and not same_regime:
-            statement = _entry_statement(ev, m, False)
+            statement = _entry_statement(ev, m)
             edits.append(_insert(ev, m, "trend", statement, ev.signs[m], ev.slopes[m]))
         else:
             changes = {"confidence": e.confidence / 2.0}
@@ -194,10 +182,9 @@ def _rule_update_trend(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memory
 
 def _rule_delete_invalid(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
     theta_del = int(skill.params["theta_del"])
-    rollback_safe = bool(skill.params.get("rollback_safe", 0))
     edits = []
     for e in retrieved:
-        if e.kind not in ("param_map", "trend", "hotspot"):
+        if e.kind not in ("param_map", "trend"):
             continue
         if e.key.param != ev.param or e.key.lambda_bucket != ev.bucket:
             continue
@@ -213,8 +200,6 @@ def _rule_delete_invalid(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memo
                 f"direction {e.direction:+d} for {e.key.param}->{m} contradicted "
                 f"{count} time(s) by observed sign {sign:+d}"
             )
-            if rollback_safe:
-                reason += "; restorable from audit record"
             edits.append(MemoryEdit(op="DELETE", target_id=e.id, rationale=reason))
         else:
             edits.append(
@@ -224,7 +209,7 @@ def _rule_delete_invalid(skill: Skill, ev: SpanEvidence, retrieved) -> list[Memo
 
 
 def _rule_skip(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
-    theta = float(skill.params.get("theta_noise", 1.0))
+    theta = float(skill.params["theta_noise"])
     change = max(ev.norm_deltas["dispersion"], ev.norm_deltas["loss"])
     return [MemoryEdit(op="NOOP", skip_correct=change < theta)]
 
@@ -251,69 +236,12 @@ def _rule_insert_boundary(skill: Skill, ev: SpanEvidence, retrieved) -> list[Mem
     ]
 
 
-def _rule_insert_hotspot(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
-    theta_hot = float(skill.params["theta_hot"])
-    edits = []
-    for m in physics.METRICS:
-        slope_norm = abs(ev.slopes[m]) / TOLS[m]
-        if slope_norm < theta_hot or ev.signs[m] == 0:
-            continue
-        statement = (
-            f"sensitivity hotspot: {m} swings {slope_norm:.3g} tolerance units per unit "
-            f"{ev.param}, take smaller moves in the {ev.regime} fill regime"
-        )
-        edits.append(_insert(ev, m, "hotspot", statement, ev.signs[m], ev.slopes[m]))
-    return edits
-
-
-def _rule_update_frontier(skill: Skill, ev: SpanEvidence, retrieved) -> list[MemoryEdit]:
-    d_err, a_err = ev.d_err, ev.a_err
-    key = MemoryKey(ev.param, "dispersion", ev.bucket, ev.regime)
-    existing = None
-    for e in retrieved:
-        if e.kind == "frontier_point" and e.key == key:
-            existing = e
-            break
-    insert = _insert(
-        ev,
-        "dispersion",
-        "frontier_point",
-        f"frontier point: dispersion error {d_err:.3g} and loss error "
-        f"{a_err:.3g} tolerance units after moving {ev.param} in the "
-        f"{ev.regime} fill regime",
-        ev.signs.get("dispersion", 0) or 1,
-        ev.slopes.get("dispersion", 0.0),
-        observed={**ev.observed, "d_err": d_err, "a_err": a_err},
-    )
-    if existing is None:
-        return [insert]
-    old = existing.observed or {}
-    old_d, old_a = old.get("d_err", float("inf")), old.get("a_err", float("inf"))
-    dominates = d_err <= old_d and a_err <= old_a and (d_err < old_d or a_err < old_a)
-    dominated = old_d <= d_err and old_a <= a_err and (old_d < d_err or old_a < a_err)
-    if dominated:
-        return []
-    if dominates or (d_err + a_err) < (old_d + old_a):
-        delete = MemoryEdit(
-            op="DELETE",
-            target_id=existing.id,
-            rationale=(
-                f"frontier point dominated: errors ({old_d:.3g}, {old_a:.3g}) "
-                f"superseded by ({d_err:.3g}, {a_err:.3g})"
-            ),
-        )
-        return [delete, insert]
-    return []
-
-
 _RULES = {
     "insert_param_map": _rule_insert_param_map,
     "update_trend": _rule_update_trend,
     "delete_invalid": _rule_delete_invalid,
     "skip_span": _rule_skip,
     "insert_boundary": _rule_insert_boundary,
-    "insert_hotspot": _rule_insert_hotspot,
-    "update_frontier": _rule_update_frontier,
 }
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import embed
 
-KINDS = ("param_map", "trend", "constraint", "boundary", "hotspot", "frontier_point")
+KINDS = ("param_map", "trend", "boundary")
 LAMBDA_BUCKETS = ("1.31-band", "1.55-band")
 REGIMES = ("low", "mid", "high")
 

@@ -180,12 +180,19 @@ def geometry_from_dict(d: dict) -> Geometry:
 
 
 def sim_from_dict(d: dict) -> SimResult:
-    return SimResult(
+    """The SimResult ``d`` describes; a non-finite value or an out-of-band
+    wavelength raises ValueError."""
+    sim = SimResult(
         n_eff=float(d["n_eff"]),
         dispersion_ps_nm_km=float(d["dispersion_ps_nm_km"]),
         loss_db_km=float(d["loss_db_km"]),
         lambda_um=float(d["lambda_um"]),
     )
+    for name, value in sim.as_dict().items():
+        if not math.isfinite(value):
+            raise ValueError(f"sim {name} {value!r} is not finite")
+    validate_wavelength(sim.lambda_um)
+    return sim
 
 
 @dataclass
@@ -208,7 +215,7 @@ def validate_geometry(geom: Geometry) -> None:
         raise InvalidGeometry(
             f"pitch {geom.pitch_um} um outside [{PITCH_MIN_UM}, {PITCH_MAX_UM}]"
         )
-    if geom.hole_d_um <= 0.0:
+    if not geom.hole_d_um > 0.0:  # also rejects NaN
         raise InvalidGeometry(f"hole diameter {geom.hole_d_um} um must be > 0")
     if geom.dratio > DRATIO_MAX:
         raise InvalidGeometry(

@@ -16,20 +16,18 @@ from dataclasses import dataclass, field
 
 ACTION_TYPES = ("INSERT", "UPDATE", "DELETE", "NOOP")
 
-# template_id -> (action_type, required params)
+# template_id -> (action_type, its params: a skill carries exactly these)
 TEMPLATES = {
-    "insert_param_map": ("INSERT", ("theta_sig", "lambda_scoped")),
-    "update_trend": ("UPDATE", ("regime_aware", "conf_calibrated")),
-    "delete_invalid": ("DELETE", ("theta_del", "rollback_safe")),
+    "insert_param_map": ("INSERT", ("theta_sig",)),
+    "update_trend": ("UPDATE", ("regime_aware",)),
+    "delete_invalid": ("DELETE", ("theta_del",)),
     "skip_span": ("NOOP", ("theta_noise",)),
     "insert_boundary": ("INSERT", ()),
-    "insert_hotspot": ("INSERT", ("theta_hot",)),
-    "update_frontier": ("UPDATE", ()),
 }
 
 
 class SkillConfigError(ValueError):
-    """Skill references an unknown template or misses required params."""
+    """Skill references an unknown template or carries other params than it."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def skill_from_dict(d: dict) -> Skill:
 
 def validate_skill(skill: Skill) -> None:
     if skill.template_id not in TEMPLATES:
-        raise SkillConfigError(f"unknown template {skill.template_id!r}")
+        raise SkillConfigError(f"{skill.id}: unknown template {skill.template_id!r}")
     action, required = TEMPLATES[skill.template_id]
     if skill.action_type != action:
         raise SkillConfigError(
@@ -80,9 +78,11 @@ def validate_skill(skill: Skill) -> None:
         )
     if not skill.description:
         raise SkillConfigError(f"{skill.id}: empty description")
-    missing = [p for p in required if p not in skill.params]
-    if missing:
-        raise SkillConfigError(f"{skill.id}: missing params {missing}")
+    if set(skill.params) != set(required):
+        raise SkillConfigError(
+            f"{skill.id}: params {sorted(skill.params)}, "
+            f"template {skill.template_id} takes {sorted(required)}"
+        )
 
 
 @dataclass
@@ -169,7 +169,7 @@ _SEED = (
         "record the direction and slope of the dispersion loss or "
         "n_eff change when pitch hole_d or n_rings moves, with "
         "wavelength band and fill regime context",
-        {"theta_sig": 0.0, "lambda_scoped": 0},
+        {"theta_sig": 0.0},
     ),
     _Recipe(
         "update_performance_trend",
@@ -177,14 +177,14 @@ _SEED = (
         "update an existing trend entry with fresh evidence: on "
         "agreement reinforce support refine the slope estimate and "
         "raise confidence, on disagreement halve confidence",
-        {"regime_aware": 0, "conf_calibrated": 0},
+        {"regime_aware": 0},
     ),
     _Recipe(
         "delete_invalid_assumption",
         "delete_invalid",
         "delete an invalid assumption: archive a stored trend whose "
         "claimed direction is contradicted by the observed change",
-        {"theta_del": 1, "rollback_safe": 0},
+        {"theta_del": 1},
     ),
     _Recipe(
         "skip",
@@ -200,7 +200,7 @@ def initial_bank() -> SkillBank:
     return SkillBank(skills=[_skill(r, 1, 0) for r in _SEED], bank_version=0)
 
 
-# Evolution catalog: ten parameterized refinements the designer picks from.
+# Evolution catalog: five parameterized refinements the designer picks from.
 CATALOG = {
     "evidence_gated_insert": _Recipe(
         "insert_topology_feature",
@@ -208,15 +208,8 @@ CATALOG = {
         "insert a mapping only when the normalized metric change is "
         "significant beyond the evidence threshold, avoiding weak "
         "noisy entries",
-        {"theta_sig": 0.5, "lambda_scoped": 0},
+        {"theta_sig": 0.5},
         theta="theta_sig",
-    ),
-    "wavelength_scoped_insert": _Recipe(
-        "insert_topology_feature",
-        "insert_param_map",
-        "insert a mapping bound to its wavelength band so trends "
-        "near 1.31 and 1.55 um stay separate",
-        {"theta_sig": 0.0, "lambda_scoped": 1},
     ),
     "regime_aware_update": _Recipe(
         "update_performance_trend",
@@ -224,29 +217,15 @@ CATALOG = {
         "update trends per fill regime: on disagreement across d "
         "over pitch regimes split the entry by regime instead of "
         "halving confidence",
-        {"regime_aware": 1, "conf_calibrated": 0},
-    ),
-    "confidence_calibrated_update": _Recipe(
-        "update_performance_trend",
-        "update_trend",
-        "update trend confidence calibrated by support count and "
-        "evidence spread rather than a fixed ladder",
-        {"regime_aware": 0, "conf_calibrated": 1},
+        {"regime_aware": 1},
     ),
     "cross_verified_delete": _Recipe(
         "delete_invalid_assumption",
         "delete_invalid",
         "delete only after repeated cross verified contradictions "
         "so a single noisy step cannot erase knowledge",
-        {"theta_del": 2, "rollback_safe": 0},
+        {"theta_del": 2},
         theta="theta_del",
-    ),
-    "rollback_safe_delete": _Recipe(
-        "delete_invalid_assumption",
-        "delete_invalid",
-        "archive entries reversibly keeping the deletion reason so "
-        "removals can be audited and undone",
-        {"theta_del": 1, "rollback_safe": 1},
     ),
     "noise_threshold_skip": _Recipe(
         "skip",
@@ -262,21 +241,6 @@ CATALOG = {
         "insert an explicit failure boundary when the step leaves "
         "the target tolerance band or hits a geometry bound, "
         "recording the violated interval",
-        {},
-    ),
-    "sensitivity_hotspot_insert": _Recipe(
-        "insert_sensitivity_hotspot",
-        "insert_hotspot",
-        "mark a high sensitivity hotspot when the local slope is "
-        "unusually steep, advising smaller moves nearby",
-        {"theta_hot": 25.0},
-        theta="theta_hot",
-    ),
-    "tradeoff_frontier_update": _Recipe(
-        "update_tradeoff_frontier",
-        "update_frontier",
-        "keep a trade off frontier of non dominated dispersion "
-        "error loss error points and archive dominated points",
         {},
     ),
 }

@@ -194,6 +194,11 @@ MALFORMED_BANKS = {
     "no_noop": _bank_doc(
         lambda d: d.update(skills=[s for s in d["skills"] if s["action_type"] != "NOOP"])
     ),
+    # a template and a param that no catalog entry has any more
+    "unknown_template": _bank_doc(
+        lambda d: d["skills"][0].update(template_id="insert_hotspot", params={"theta_hot": 25.0})
+    ),
+    "dropped_param": _bank_doc(lambda d: d["skills"][0]["params"].update(lambda_scoped=1)),
 }
 
 
@@ -209,6 +214,7 @@ def test_malformed_bank_is_a_data_error(name, tmp_path, capsys, small_corpus):
     )
     assert code == cli.EXIT_DATA
     assert "data error" in err
+    assert "bank.json" in err
 
 
 def _write_corpus(tmp_path, small_corpus):
@@ -383,6 +389,42 @@ def test_non_finite_or_impossible_target_is_a_data_error(name, tmp_path, capsys,
         code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_DATA, argv
         assert f"data error: {paths[kind]}:{lineno}: " in err, argv
+        assert message in err, argv
+
+
+BAD_SPANS = {
+    # (field, key, value, message); before spans were checked, eval and
+    # evolve both exited 0 on each of these corpora
+    "nan_dispersion": (
+        "sim_after", "dispersion_ps_nm_km", float("nan"), "sim dispersion_ps_nm_km nan is not finite",
+    ),
+    "negative_pitch": ("geom_after", "pitch_um", -3.0, "pitch -3.0 um outside"),
+    "nan_hole": ("geom_before", "hole_d_um", float("nan"), "hole diameter nan um must be > 0"),
+    "out_of_band": ("sim_before", "lambda_um", 2.0, "wavelength 2.0 um outside"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPANS))
+def test_non_finite_or_impossible_span_is_a_data_error(name, tmp_path, capsys, small_corpus):
+    field, key, value, message = BAD_SPANS[name]
+    paths = _write_corpus(tmp_path, small_corpus)
+    test_ids = set(small_corpus["splits"]["test"])
+    with open(paths["traces"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    # break the first span of the first test trace
+    lineno, doc = next(
+        (n, doc) for n, doc in enumerate(map(json.loads, lines[1:]), start=2)
+        if doc["id"] in test_ids
+    )
+    doc["spans"][0][field][key] = value
+    lines[lineno - 1] = json.dumps(doc) + "\n"
+    with open(paths["traces"], "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    commands = (["eval", "--ablate", "wo_controller"], ["evolve", "--outer", "1", "--inner", "1"])
+    for argv in commands:
+        code, _, err = _run(argv + ["--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_DATA, argv
+        assert f"data error: {paths['traces']}:{lineno}: " in err, argv
         assert message in err, argv
 
 
@@ -679,10 +721,10 @@ PIPELINE_DIGESTS = {
     "data/queries.jsonl": "1edbb31a65e556c31112048c61c3c66c6dd3fbea2342f04f52d41a70f9ad0c48",
     "data/splits.json": "e01620a1496bac68f153e0516b5f9f008ac06727e10774ee49737e52464c0e58",
     "data/traces.jsonl": "6dcb6800a9b9505d81f1fd505ade34ed0f41ab2abed3f8275144577aa28d3ea3",
-    "full/bank.json": "3329c69ae26e0c11134b15921b2a0226034823502a511e656dc2ac960b9a1db6",
+    "full/bank.json": "7c0d70fae3939b6c4d57b48ec8a7e99a57e84d3c42c8a24b44bba0e71ededde5",
     "full/checkpoint.npz": "78f145f80d740b071833c10097faebaabf0f4dc85ca8da7f82a07d16f55bafbc",
     "full/eval_full.json": "cc70e9ca9aa047154310272836dbaf9599c7855cb06f506a43b95b9118b52937",
-    "full/results.json": "85867059f5d62d89d077abbb997f33d26f4bf3a653615b74c72f724952dd8a30",
+    "full/results.json": "03ed39537d20aa8304d220980c20c0b63f29d5cb66baf41e599267004d067078",
     "wo_controller/eval_wo_controller.json":
         "020927c57f433ec0f0b0303b7845d7faa258d2dd77b194c7a328adde8a556e23",
     "baselines/baseline_nelder_mead.json":

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pcfmem import designer, memory, skills
+from pcfmem import datagen, designer, memory, skills
 from pcfmem.designer import DesignAttempt, FailureBuffer, FailureCase, FailureCluster
 from pcfmem.memory import MemoryEntry, MemoryKey
 from pcfmem.physics import CallCounter, Geometry, SimResult, TargetSpec
@@ -64,7 +64,7 @@ def test_classify_failure_missing_constraint():
 
 
 def test_classify_failure_outdated_and_spurious():
-    stale = _entry(0, kind="constraint", contradictions=2)
+    stale = _entry(0, kind="boundary", contradictions=2)
     fresh = _entry(0, kind="boundary")
     assert (
         designer.classify_failure(_attempt([stale]), CallCounter())
@@ -206,6 +206,20 @@ def test_change_mapping_spurious_escalates_then_adds_skip():
     bank = skills.mutate(bank, [ch])
     # with two NOOPs and a capped threshold, nothing is left to propose
     assert designer._change_for_cluster(bank, "spurious_memory", 3, []) is None
+
+
+def test_designer_can_propose_every_catalog_entry():
+    # the catalog holds only what an evolving bank can reach from the seed
+    name_of = {r.description: name for name, r in skills.CATALOG.items()}
+    bank = skills.initial_bank()
+    reached = set()
+    for epoch in range(1, 6):
+        for ftype in datagen.FAILURE_TYPES:
+            ch = designer._change_for_cluster(bank, ftype, epoch, [])
+            if ch is not None:
+                reached.add(name_of[ch.skill.description])
+                bank = skills.mutate(bank, [ch])
+    assert reached == set(skills.CATALOG_NAMES)
 
 
 def test_propose_changes_respects_top_clusters_and_cap():

@@ -243,45 +243,8 @@ def test_boundary_rule_fires_on_missed_target():
     assert edits == []
 
 
-def test_hotspot_rule_threshold():
-    span = make_span("pitch")
-    lo = skills.make_catalog_skill("sensitivity_hotspot_insert", 1, 1, theta=0.0)
-    hi = skills.make_catalog_skill("sensitivity_hotspot_insert", 2, 1, theta=1e12)
-    edits = execute(span=span, retrieved=[], selected=[lo], target=on_target(span))
-    assert len(edits) == 3
-    assert all(e.entry.kind == "hotspot" for e in edits)
-    edits = execute(span=span, retrieved=[], selected=[hi], target=on_target(span))
-    assert edits == []
-
-
-def test_frontier_rule_dominance():
-    span = make_span("pitch")
-    frontier_skill = skills.make_catalog_skill("tradeoff_frontier_update", 1, 1)
-    target = on_target(span)  # d_err = a_err = 0: dominates everything
-    key = MemoryKey("pitch", "dispersion", "1.55-band", "mid")
-
-    edits = execute(span=span, retrieved=[], selected=[frontier_skill], target=target)
-    assert [e.op for e in edits] == ["INSERT"]
-
-    worse = MemoryEntry(
-        id=9, key=key, kind="frontier_point", statement="old point",
-        direction=1, slope=0.0, observed={"d_err": 3.0, "a_err": 4.0},
-    )
-    edits = execute(span=span, retrieved=[worse], selected=[frontier_skill], target=target)
-    assert [e.op for e in edits] == ["DELETE", "INSERT"]
-    assert edits[0].target_id == 9
-
-    better = MemoryEntry(
-        id=9, key=key, kind="frontier_point", statement="ideal point",
-        direction=1, slope=0.0, observed={"d_err": 0.0, "a_err": 0.0},
-    )
-    far = TargetSpec(
-        span.sim_after.dispersion_ps_nm_km + 50.0,
-        span.sim_after.loss_db_km + 0.01,
-        span.sim_after.lambda_um,
-    )
-    edits = execute(span=span, retrieved=[better], selected=[frontier_skill], target=far)
-    assert edits == []  # dominated by the stored point
+def test_every_template_has_a_rule():
+    assert set(executor._RULES) == set(skills.TEMPLATES)
 
 
 def test_process_reward_clamps():

@@ -1,5 +1,6 @@
 """Episode mechanics: per-span transitions, pick rules and feature caching."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -132,15 +133,14 @@ def test_skill_matrix_rows_track_the_bank():
 
 
 def test_skill_matrix_tells_apart_banks_that_share_ids():
-    # both catalogue deletes are named delete_invalid_assumption_v2
+    # two deletes named delete_invalid_assumption_v2 that differ in description
     base = skills.initial_bank()
     target = next(s.id for s in base.skills if s.template_id == "delete_invalid")
+    hardened = skills.make_catalog_skill("cross_verified_delete", 2, 1)
+    reworded = dataclasses.replace(hardened, description="delete a contradicted trend")
     banks = [
-        skills.mutate(base, [skills.BankChange(
-            op="replace", target_id=target,
-            skill=skills.make_catalog_skill(name, 2, 1),
-        )])
-        for name in ("cross_verified_delete", "rollback_safe_delete")
+        skills.mutate(base, [skills.BankChange(op="replace", target_id=target, skill=sk)])
+        for sk in (hardened, reworded)
     ]
     assert banks[0].ids() == banks[1].ids()
     assert banks[0].bank_version == banks[1].bank_version
@@ -207,7 +207,7 @@ def test_transition_rows_are_copies(one_trace, small_corpus):
 # each group in edit order; summing in plain edit order moves these bits
 PER_SPAN_GOLDEN = {
     "seed": "4ff55702af63e8e0fe2843d4c461a703e7724e714973bb0f5668e555951f1faa",
-    "all_templates": "c20f758772c14b73e6309e83e98393ef1c2274197acd7a7e945bad648a6ad778",
+    "all_templates": "38b06777ea95b2a6632d32577355ca73d3d74b0db0e1689556a8e30b4cbaf238",
 }
 
 
@@ -215,15 +215,10 @@ PER_SPAN_GOLDEN = {
 def test_per_span_rewards_and_banks_match_golden(small_corpus, bank_name):
     bank = skills.initial_bank()
     if bank_name == "all_templates":
-        bank = skills.mutate(bank, [
-            skills.BankChange(op="add", skill=skills.make_catalog_skill(name, 1, 1))
-            for name in (
-                "failure_boundary_insert",
-                "sensitivity_hotspot_insert",
-                "tradeoff_frontier_update",
-            )
-        ])
-        assert len({s.template_id for s in bank.skills}) == 7
+        bank = skills.mutate(bank, [skills.BankChange(
+            op="add", skill=skills.make_catalog_skill("failure_boundary_insert", 1, 1),
+        )])
+        assert len({s.template_id for s in bank.skills}) == 5
     params = policy.init_params(np.random.default_rng(9))
     traces = small_corpus["traces"][:16]
     digest = hashlib.sha256()

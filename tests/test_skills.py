@@ -62,10 +62,16 @@ def test_validate_skill_errors():
     )
     with pytest.raises(SkillConfigError):
         skills.validate_skill(missing_param)
+    extra_param = Skill(
+        id="x_v1", name="X", action_type=ok.action_type, description="d",
+        template_id=ok.template_id, params={**ok.params, "lambda_scoped": 0},
+    )
+    with pytest.raises(SkillConfigError, match=r"\['lambda_scoped', 'theta_sig'\].*\['theta_sig'\]"):
+        skills.validate_skill(extra_param)
 
 
 def test_catalog_constructs_valid_skills():
-    assert len(skills.CATALOG_NAMES) == 10
+    assert len(skills.CATALOG_NAMES) == 5
     for name in skills.CATALOG_NAMES:
         sk = skills.make_catalog_skill(name, version=3, epoch=2)
         skills.validate_skill(sk)
@@ -79,7 +85,8 @@ def test_catalog_constructs_valid_skills():
 
 
 def test_seed_and_catalog_skills_keep_their_recorded_bytes():
-    # digest recorded before the seed skills and the catalog shared one table
+    # digest recorded when the catalog shrank to the five entries the designer
+    # proposes and the seed skills lost three params that were always 0
     h = hashlib.sha256()
     for name in skills.CATALOG_NAMES:
         for version, epoch in ((1, 0), (3, 2)):
@@ -87,7 +94,7 @@ def test_seed_and_catalog_skills_keep_their_recorded_bytes():
             h.update(json.dumps(sk.as_dict(), sort_keys=True).encode())
     h.update(json.dumps(skills.initial_bank().as_dict(), sort_keys=True).encode())
     assert h.hexdigest() == (
-        "042b6fa259992cae23e219fb00293e29649a0a8f0372052c4373ad14c8c5abcd"
+        "5e390fd61e66baa5259bfbb2587e6b66612ae1f7f3a358ff8dc51305c3fbde6b"
     )
 
 
