@@ -176,7 +176,12 @@ def target_from_dict(d: dict) -> TargetSpec:
 
 
 def geometry_from_dict(d: dict) -> Geometry:
-    return Geometry(float(d["pitch_um"]), float(d["hole_d_um"]), int(d["n_rings"]))
+    """The Geometry ``d`` describes; an ``n_rings`` that is not a JSON integer
+    raises ValueError instead of being truncated."""
+    n_rings = d["n_rings"]
+    if type(n_rings) is not int:
+        raise ValueError(f"n_rings {n_rings!r} is not an integer")
+    return Geometry(float(d["pitch_um"]), float(d["hole_d_um"]), n_rings)
 
 
 def sim_from_dict(d: dict) -> SimResult:

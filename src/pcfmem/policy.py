@@ -187,17 +187,10 @@ def greedy_topk(z: np.ndarray, k: int) -> list[int]:
 
 def action_logprob(z: np.ndarray, action: list[int]) -> float:
     """Exact ordered without-replacement log-probability under softmax(z)."""
-    p = softmax(z)
-    lp = 0.0
-    consumed = 0.0
-    for a in action:
-        denom = max(1.0 - consumed, 1e-300)
-        lp += math.log(max(p[a], 1e-300)) - math.log(denom)
-        consumed += p[a]
-    return lp
+    return float(ordered_logprob_rows(softmax(z)[None, :], np.array([action]))[0][0])
 
 
-def _ordered_logprob_rows(
+def ordered_logprob_rows(
     p: np.ndarray, actions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ordered without-replacement log-probability and its gradient
@@ -226,7 +219,7 @@ def _ordered_logprob_rows(
 
 def logprob_grad_z(z: np.ndarray, action: list[int]) -> np.ndarray:
     """d action_logprob / dz (see tests for the FD check)."""
-    _, grad = _ordered_logprob_rows(softmax(z)[None, :], np.array([action]))
+    _, grad = ordered_logprob_rows(softmax(z)[None, :], np.array([action]))
     return grad[0]
 
 
@@ -311,7 +304,7 @@ def ppo_loss_and_grads(
     u_mat = batch.u_mat
 
     z = skill_logits(h, u_mat, batch.bias)
-    lp, g_lp = _ordered_logprob_rows(softmax(z), batch.actions)
+    lp, g_lp = ordered_logprob_rows(softmax(z), batch.actions)
     ent, d_ent = first_pick_entropy(z)
     ratios = np.exp(lp - batch.logprob_old)
     adv = batch.advantages

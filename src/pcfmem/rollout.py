@@ -62,7 +62,7 @@ def skill_matrix(bank: SkillBank, texts: embed.TextVectors) -> np.ndarray:
 class Transition:
     x: np.ndarray
     action: list[int]
-    logprob: float
+    logits: np.ndarray  # the bias-included row the action was picked from
     value: float
 
 
@@ -129,7 +129,7 @@ def run_episode(
                 eps[i].transitions.append(Transition(
                     x=x[i].copy(),
                     action=action,
-                    logprob=policy.action_logprob(z[i], action),
+                    logits=z[i].copy(),
                     value=float(values[i]),
                 ))
             edits = executor.execute(

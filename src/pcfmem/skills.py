@@ -11,6 +11,7 @@ the exploration bias).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -27,7 +28,8 @@ TEMPLATES = {
 
 
 class SkillConfigError(ValueError):
-    """Skill references an unknown template or carries other params than it."""
+    """Skill references an unknown template, carries other params than it, or
+    gives a param a value that is not a finite number."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,14 @@ def validate_skill(skill: Skill) -> None:
             f"{skill.id}: params {sorted(skill.params)}, "
             f"template {skill.template_id} takes {sorted(required)}"
         )
+    for name, value in skill.params.items():
+        # bool is an int subclass; an int is always finite
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            raise SkillConfigError(f"{skill.id}: param {name} {value!r} is not a finite number")
 
 
 @dataclass

@@ -156,18 +156,24 @@ def ppo_update(
     """Four clipped-surrogate epochs over shuffled minibatches.
 
     Every transition comes from one inner epoch, so all share the skill
-    matrix u_mat (S, 256) and the logit bias (S,). Raises NumericError when a
-    step leaves a non-finite parameter.
+    matrix u_mat (S, 256) and the logit bias (S,). The old log-probabilities
+    come from the logged logits through the loss's own formula. Raises
+    NumericError when a step leaves a non-finite parameter.
     """
     n = len(transitions)
     x = np.stack([tr.x for tr in transitions])
     actions = np.array([tr.action for tr in transitions], dtype=np.intp)
-    logprob_old = np.array([tr.logprob for tr in transitions])
-    if bias.shape != (u_mat.shape[0],) or actions.max() >= len(bias):
+    logits = np.stack([tr.logits for tr in transitions])
+    if (
+        bias.shape != (u_mat.shape[0],)
+        or logits.shape[1] != len(bias)
+        or actions.max() >= len(bias)
+    ):
         raise ValueError(
-            f"actions {actions.shape} do not fit a bank of {u_mat.shape[0]} skills "
-            f"with bias {bias.shape}"
+            f"actions {actions.shape} and logits {logits.shape} do not fit a bank of "
+            f"{u_mat.shape[0]} skills with bias {bias.shape}"
         )
+    logprob_old, _ = policy.ordered_logprob_rows(policy.softmax(logits), actions)
     flat = policy.flat_view(params)
     # one gradient tree, rewritten by every minibatch, and its flat vector
     grads = policy.zero_grads()

@@ -199,6 +199,9 @@ MALFORMED_BANKS = {
         lambda d: d["skills"][0].update(template_id="insert_hotspot", params={"theta_hot": 25.0})
     ),
     "dropped_param": _bank_doc(lambda d: d["skills"][0]["params"].update(lambda_scoped=1)),
+    # a NaN threshold never fires, so eval exited 0 with every insert skipped
+    "nan_param": _bank_doc(lambda d: d["skills"][0]["params"].update(theta_sig=float("nan"))),
+    "string_param": _bank_doc(lambda d: d["skills"][0]["params"].update(theta_sig="abc")),
 }
 
 
@@ -318,6 +321,10 @@ BAD_RECORD_VALUES = {
     "planted_text": ("queries", "failure_analysis", "planted_entry", "oops", "planted_entry"),
     "planted_key": ("queries", "failure_analysis", "planted_entry", {"key": []}, "planted_entry"),
     "no_spans": ("traces", None, "spans", [], "has no spans"),
+    "fractional_reference_rings": (
+        "queries", "parameter_adjustment", "reference_geometry",
+        {"pitch_um": 2.3, "hole_d_um": 1.15, "n_rings": 6.5}, "n_rings 6.5 is not an integer",
+    ),
 }
 
 
@@ -401,6 +408,7 @@ BAD_SPANS = {
     "negative_pitch": ("geom_after", "pitch_um", -3.0, "pitch -3.0 um outside"),
     "nan_hole": ("geom_before", "hole_d_um", float("nan"), "hole diameter nan um must be > 0"),
     "out_of_band": ("sim_before", "lambda_um", 2.0, "wavelength 2.0 um outside"),
+    "fractional_rings": ("geom_after", "n_rings", 6.7, "n_rings 6.7 is not an integer"),
 }
 
 

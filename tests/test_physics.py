@@ -75,6 +75,15 @@ def test_geometry_bounds():
     assert not physics.geometry_valid(Geometry(2.0, np.nextafter(1.8, 2.0), 5))
 
 
+def test_geometry_from_dict_takes_only_integer_rings():
+    doc = REF_GEOM.as_dict()
+    assert physics.geometry_from_dict(doc) == REF_GEOM
+    # int() would truncate 6.7 to 6 rings and parse the string
+    for rings in (6.7, 6.0, "6", True, None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            physics.geometry_from_dict(dict(doc, n_rings=rings))
+
+
 def test_wavelength_band():
     with pytest.raises(physics.BandError):
         physics.sellmeier_index(1.1)

@@ -69,6 +69,20 @@ def test_logprob_shift_invariance():
     assert a == pytest.approx(b, abs=1e-9)
 
 
+def test_action_logprob_is_one_row_of_the_learner_formula():
+    # the learner scores logged logits in batches; PPO's ratio needs the
+    # per-row reference to agree with every batch row to the last bit
+    rng = np.random.default_rng(24)
+    for _ in range(1000):
+        n = int(rng.integers(2, 13))
+        k = int(rng.integers(1, min(n, 3) + 1))
+        z = rng.normal(0.0, 3.0, (10, n))
+        actions = np.array([rng.permutation(n)[:k] for _ in range(10)])
+        lp, _ = policy.ordered_logprob_rows(policy.softmax(z), actions)
+        for row, action, want in zip(z, actions, lp):
+            assert policy.action_logprob(row, [int(a) for a in action]) == want
+
+
 def test_sampler_and_greedy_validate_k():
     z = np.zeros(3)
     with pytest.raises(ValueError):

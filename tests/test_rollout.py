@@ -34,7 +34,8 @@ def test_episode_shape_and_reward_bounds(one_trace):
         assert len(set(t.action)) == 2
         assert all(0 <= a < len(bank.skills) for a in t.action)
         assert -0.2 <= reward <= 0.2
-        assert np.isfinite(t.logprob)
+        assert t.logits.shape == (len(bank.skills),)
+        assert np.isfinite(t.logits).all()
         assert t.x.shape == (policy.IN_DIM,)
 
 
@@ -185,7 +186,7 @@ def test_episode_does_not_depend_on_its_neighbours_lengths(small_corpus, mode):
     assert [t.action for t in a.transitions] == [t.action for t in b.transitions]
     for ta, tb in zip(a.transitions, b.transitions):
         assert ta.x.tobytes() == tb.x.tobytes()
-        assert ta.logprob == tb.logprob
+        assert ta.logits.tobytes() == tb.logits.tobytes()
         assert ta.value == tb.value
     assert a.r_proc == b.r_proc
     assert memory.snapshot(a.mem_bank) == memory.snapshot(b.mem_bank)
@@ -198,7 +199,7 @@ def test_transition_rows_are_copies(one_trace, small_corpus):
         [one_trace, small_corpus["traces"][1]], bank, params, rollout.FeatureCache(),
         k_retrieve=5, top_k=2, rngs=[None, None], greedy=True,
     )
-    rows = [t.x for ep in eps for t in ep.transitions]
+    rows = [r for ep in eps for t in ep.transitions for r in (t.x, t.logits)]
     assert all(r.base is None for r in rows)
 
 

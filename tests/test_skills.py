@@ -1,5 +1,6 @@
 """Skill bank invariants: templates, validation, guarded mutation."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -68,6 +69,10 @@ def test_validate_skill_errors():
     )
     with pytest.raises(SkillConfigError, match=r"\['lambda_scoped', 'theta_sig'\].*\['theta_sig'\]"):
         skills.validate_skill(extra_param)
+    for value in (True, "0.5", None, float("nan"), float("inf")):
+        bad_value = dataclasses.replace(ok, params={"theta_sig": value})
+        with pytest.raises(SkillConfigError, match=f"{ok.id}: param theta_sig"):
+            skills.validate_skill(bad_value)
 
 
 def test_catalog_constructs_valid_skills():

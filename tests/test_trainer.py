@@ -1,5 +1,7 @@
 """Reward plumbing and optimizer math for the training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ def _toy_transitions(rng, n, n_sk, k):
         rollout.Transition(
             x=rng.normal(0.0, 1.0, policy.IN_DIM),
             action=[int(a) for a in rng.permutation(n_sk)[:k]],
-            logprob=-1.0,
+            logits=np.zeros(n_sk),
             value=0.0,
         )
         for _ in range(n)
@@ -175,6 +177,14 @@ def test_ppo_update_counts_minibatches_and_checks_the_skill_matrix():
             params, trs, np.zeros(10), np.zeros(10), cfg,
             AdamW(lr=1e-3, weight_decay=0.01), rng, u[:2], np.zeros(2),
         )
+    # logits logged against another bank: a ValueError, not an IndexError
+    for width in (3, 6):
+        mislogged = [dataclasses.replace(t, logits=np.zeros(width)) for t in trs]
+        with pytest.raises(ValueError, match="logits"):
+            trainer.ppo_update(
+                params, mislogged, np.zeros(10), np.zeros(10), cfg,
+                AdamW(lr=1e-3, weight_decay=0.01), rng, u, np.zeros(5),
+            )
 
 
 def test_ppo_config_defaults():
