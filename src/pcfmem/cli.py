@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, evolve, eval, baseline, report, sweep.
+Subcommands: gen-data, evolve, eval, baseline, report, sweep.
+``evolve --outer 0`` trains the inner loop alone on the initial skill bank.
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
 Configuration comes from an optional JSON file plus flag overrides; runs
 with the same config are byte-identical on disk.
@@ -161,6 +162,13 @@ def _load_corpus(data_dir: str):
     queries = datagen.load_queries(paths["queries"])
     splits = _read_json(paths["splits"])
     by_id = {t.id: t for t in traces}
+    for q in queries:
+        for i in q.trace_ids:
+            if i not in by_id:
+                raise CorpusFormatError(
+                    f"{paths['queries']}: query {q.id!r} names trace {i!r}, "
+                    f"which is not in {paths['traces']}"
+                )
     split_of: dict[str, str] = {}
     for name in ("train", "val", "test"):
         ids = splits.get(name) if isinstance(splits, dict) else None
@@ -238,15 +246,12 @@ def cmd_gen_data(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _run_loop(cfg: RunConfig, out: str, evolve: bool) -> int:
+def _run_loop(cfg: RunConfig, out: str) -> int:
     _check_run_ablation(cfg, out)
     data_dir = cfg.data_dir or out
     traces_by_id, queries, splits = _load_corpus(data_dir)
-    ppo = cfg.ppo()
-    if not evolve:
-        ppo.outer_epochs = 0
     report = trainer.run_closed_loop(
-        traces_by_id, queries, splits, ppo, cfg.seed, ablation=cfg.ablation
+        traces_by_id, queries, splits, cfg.ppo(), cfg.seed, ablation=cfg.ablation
     )
     os.makedirs(out, exist_ok=True)
     params = report["_params"]
@@ -364,7 +369,7 @@ def cmd_report(out: str) -> int:
         rows.append(row)
     rows.sort(key=lambda r: r["method"])
     merged = {"table": rows, "missing_metrics": list(evalsuite.MISSING_METRICS)}
-    # keep the training report that evolve/train wrote into the same file
+    # keep the training report that evolve wrote into the same file
     results = _read_results(out)
     _write_json(os.path.join(out, "results.json"), {**results, **merged})
     with open(os.path.join(out, "results.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -446,12 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n-traces", type=int, default=None)
 
-    p = sub.add_parser("train", help="inner loop only, fixed initial bank")
-    common(p)
-    p.add_argument("--inner", type=int, default=None)
-    p.add_argument("--ablate", default=None)
-
-    p = sub.add_parser("evolve", help="full closed loop with skill evolution")
+    p = sub.add_parser(
+        "evolve", help="full closed loop with skill evolution (--outer 0: inner loop only)"
+    )
     common(p)
     p.add_argument("--outer", type=int, default=None)
     p.add_argument("--inner", type=int, default=None)
@@ -489,10 +491,8 @@ def dispatch(argv: list[str]) -> int:
         out = args.out
         if args.command == "gen-data":
             return cmd_gen_data(cfg, out)
-        if args.command == "train":
-            return _run_loop(cfg, out, evolve=False)
         if args.command == "evolve":
-            return _run_loop(cfg, out, evolve=True)
+            return _run_loop(cfg, out)
         if args.command == "eval":
             return cmd_eval(cfg, out)
         if args.command == "baseline":

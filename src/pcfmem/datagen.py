@@ -96,6 +96,12 @@ def _check_choice(what: str, value, choices: tuple) -> None:
         raise ValueError(f"{what} {value!r} is not one of {', '.join(choices)}")
 
 
+def _check_direction(what: str, value) -> None:
+    # a bool is an int to isinstance, and 1.0 == 1
+    if type(value) is not int or value not in (-1, 0, 1):
+        raise ValueError(f"{what} {value!r} is not -1, 0 or 1")
+
+
 def span_from_dict(d: dict) -> Span:
     """The Span ``d`` describes; an invalid geometry or a sim value that is
     not finite or in band raises ValueError."""
@@ -178,9 +184,12 @@ def query_from_dict(d: dict) -> Query:
     qtype = d.get("type")
     if qtype not in QUERY_TYPES:
         raise CorpusFormatError(f"query {d.get('id')}: bad type {qtype!r}")
+    trace_ids = d["trace_ids"]
+    if not (trace_ids and isinstance(trace_ids, list) and all(type(i) is str for i in trace_ids)):
+        raise ValueError(f"trace_ids {trace_ids!r} is not a non-empty list of trace ids")
     query = Query(
         id=d["id"],
-        trace_ids=list(d["trace_ids"]),
+        trace_ids=list(trace_ids),
         qtype=qtype,
         text=d["text"],
         ground_truth=dict(d["ground_truth"]),
@@ -192,9 +201,7 @@ def query_from_dict(d: dict) -> Query:
     if missing:
         raise CorpusFormatError(f"query {query.id}: ground_truth lacks {', '.join(missing)}")
     if qtype == "trend_prediction":
-        direction = gt["direction"]
-        if type(direction) is not int or direction not in (-1, 0, 1):
-            raise ValueError(f"trend direction {direction!r} is not -1, 0 or 1")
+        _check_direction("trend direction", gt["direction"])
         _check_choice("trend param", gt["param"], physics.PARAMS)
         _check_choice("trend metric", gt["metric"], physics.METRICS)
     elif qtype == "parameter_adjustment":
@@ -206,6 +213,14 @@ def query_from_dict(d: dict) -> Query:
         entry = gt["planted_entry"]
         if not (isinstance(entry, dict) and isinstance(entry.get("key"), dict)):
             raise ValueError("planted_entry must be an object with an object 'key'")
+        # the fields designer.classify_planted reads
+        _check_choice("planted kind", entry.get("kind"), memory.KINDS)
+        _check_direction("planted direction", entry.get("direction"))
+        contradictions = entry.get("contradictions")
+        if type(contradictions) is not int or contradictions < 0:
+            raise ValueError(f"planted contradictions {contradictions!r} is not a count")
+        if not isinstance(entry.get("geom"), dict):
+            raise ValueError(f"planted geom {entry.get('geom')!r} is not an object")
     return query
 
 
@@ -400,47 +415,40 @@ def _difficulty_tag(n_spans: int) -> str:
     return "extreme"
 
 
-def _final_state(trace: Trace) -> tuple[Geometry, SimResult]:
-    last = trace.spans[-1]
-    return last.geom_after, last.sim_after
+# what a query maker returns: the query's text, ground truth and answer
+QueryParts = tuple[str, dict, str]
 
 
-def _trace_pairs(trace: Trace) -> tuple[tuple[str, str], ...]:
-    """Trend pairs whose param was actually edited somewhere in the trace."""
+def _probe_trend(
+    trace: Trace, rng: np.random.Generator, counter: CallCounter
+) -> tuple[str, str, int]:
+    """A trend pair whose param the trace edited (any pair if none), drawn
+    from ``rng``, and the sign the env gives it at the trace's final design."""
     edited = {s.param for s in trace.spans}
-    pairs = tuple(p for p in TREND_PAIRS if p[0] in edited)
-    return pairs if pairs else TREND_PAIRS
-
-
-def _gen_trend_query(
-    trace: Trace, rng: np.random.Generator, counter: CallCounter, qid: str
-) -> Query:
-    pairs = _trace_pairs(trace)
+    pairs = tuple(p for p in TREND_PAIRS if p[0] in edited) or TREND_PAIRS
     param, metric = pairs[int(rng.integers(len(pairs)))]
-    geom, _ = _final_state(trace)
+    geom = trace.spans[-1].geom_after
+    return param, metric, physics.metric_sign(geom, param, metric, trace.target.lambda_um, counter)
+
+
+def _trend_query(trace: Trace, rng: np.random.Generator, counter: CallCounter) -> QueryParts:
+    param, metric, sign = _probe_trend(trace, rng, counter)
+    geom = trace.spans[-1].geom_after
     lam = trace.target.lambda_um
-    sign = physics.metric_sign(geom, param, metric, lam, counter)
     direction = "increase" if sign > 0 else "decrease"
     text = (
         f"for the current design near pitch {geom.pitch_um:.4g} um and fill "
         f"{geom.dratio:.3g}, if {param} increases, does {metric} increase or "
         f"decrease at {lam:.3g} um?"
     )
-    return Query(
-        id=qid,
-        trace_ids=[trace.id],
-        qtype="trend_prediction",
-        text=text,
-        ground_truth={
-            "direction": int(sign),
-            "param": param,
-            "metric": metric,
-            "lambda_um": lam,
-            "geom": geom.as_dict(),
-        },
-        answer_text=f"{metric} will {direction} when {param} increases",
-        difficulty=_difficulty_tag(len(trace.spans)),
-    )
+    ground_truth = {
+        "direction": int(sign),
+        "param": param,
+        "metric": metric,
+        "lambda_um": lam,
+        "geom": geom.as_dict(),
+    }
+    return text, ground_truth, f"{metric} will {direction} when {param} increases"
 
 
 def design_answer(geom: Geometry, dispersion: float, loss: float, lambda_um: float) -> str:
@@ -455,7 +463,7 @@ def design_answer(geom: Geometry, dispersion: float, loss: float, lambda_um: flo
     )
 
 
-def _gen_param_query(trace: Trace, qid: str) -> Query:
+def _param_query(trace: Trace, rng: np.random.Generator, counter: CallCounter) -> QueryParts:
     t = trace.target
     goal = trace.goal_geometry
     text = (
@@ -463,18 +471,11 @@ def _gen_param_query(trace: Trace, qid: str) -> Query:
         f"{t.dispersion_ps_nm_km:.5g} ps per nm km and loss {t.loss_db_km:.4g} "
         f"db per km at wavelength {t.lambda_um:.3g} um"
     )
-    return Query(
-        id=qid,
-        trace_ids=[trace.id],
-        qtype="parameter_adjustment",
-        text=text,
-        ground_truth={"reference_geometry": goal.as_dict(), "target": t.as_dict()},
-        answer_text=design_answer(goal, t.dispersion_ps_nm_km, t.loss_db_km, t.lambda_um),
-        difficulty=_difficulty_tag(len(trace.spans)),
-    )
+    ground_truth = {"reference_geometry": goal.as_dict(), "target": t.as_dict()}
+    return text, ground_truth, design_answer(goal, t.dispersion_ps_nm_km, t.loss_db_km, t.lambda_um)
 
 
-def _gen_reasoning_query(trace: Trace, qid: str) -> Query:
+def _reasoning_query(trace: Trace, rng: np.random.Generator, counter: CallCounter) -> QueryParts:
     lam = trace.target.lambda_um
     text = (
         f"explain how pitch, hole diameter and ring count control dispersion "
@@ -485,29 +486,16 @@ def _gen_reasoning_query(trace: Trace, qid: str) -> Query:
         f"confines light cutting loss, more rings cut loss further, n_eff "
         f"falls with fill, all at wavelength {lam:.3g} um"
     )
-    return Query(
-        id=qid,
-        trace_ids=[trace.id],
-        qtype="design_reasoning",
-        text=text,
-        ground_truth={"concepts": list(CONCEPT_KEYS)},
-        answer_text=answer,
-        difficulty=_difficulty_tag(len(trace.spans)),
-    )
+    return text, {"concepts": list(CONCEPT_KEYS)}, answer
 
 
-def _gen_failure_query(
-    trace: Trace, rng: np.random.Generator, counter: CallCounter, qid: str
-) -> Query:
-    geom, _ = _final_state(trace)
+def _failure_query(trace: Trace, rng: np.random.Generator, counter: CallCounter) -> QueryParts:
+    geom = trace.spans[-1].geom_after
     lam = trace.target.lambda_um
-    bucket = memory.lambda_bucket(lam)
     regime = memory.dratio_regime(geom.dratio)
+    # drawn before the trend pair; the draw order fixes the corpus bytes
     ftype = FAILURE_TYPES[int(rng.choice(len(FAILURE_TYPES), p=FAILURE_WEIGHTS))]
-
-    pairs = _trace_pairs(trace)
-    param, metric = pairs[int(rng.integers(len(pairs)))]
-    sign = physics.metric_sign(geom, param, metric, lam, counter)
+    param, metric, sign = _probe_trend(trace, rng, counter)
     if sign == 0:
         sign = 1
 
@@ -535,7 +523,7 @@ def _gen_failure_query(
         "key": {
             "param": param,
             "metric": metric,
-            "lambda_bucket": bucket,
+            "lambda_bucket": memory.lambda_bucket(lam),
             "regime": regime,
         },
         "kind": kind,
@@ -552,15 +540,17 @@ def _gen_failure_query(
         f"wrong trend, a missing constraint, outdated knowledge, or a spurious "
         f"memory"
     )
-    return Query(
-        id=qid,
-        trace_ids=[trace.id],
-        qtype="failure_analysis",
-        text=text,
-        ground_truth={"failure_type": ftype, "planted_entry": entry},
-        answer_text=f"the note is a {ftype.replace('_', ' ')}",
-        difficulty=_difficulty_tag(len(trace.spans)),
-    )
+    ground_truth = {"failure_type": ftype, "planted_entry": entry}
+    return text, ground_truth, f"the note is a {ftype.replace('_', ' ')}"
+
+
+# each query type's maker; gen_queries builds the record around its parts
+QUERY_MAKERS = {
+    "trend_prediction": _trend_query,
+    "parameter_adjustment": _param_query,
+    "design_reasoning": _reasoning_query,
+    "failure_analysis": _failure_query,
+}
 
 
 def gen_queries(
@@ -572,18 +562,13 @@ def gen_queries(
         rng = np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=(2, t_idx))
         )
-        order = list(rng.permutation(len(QUERY_TYPES)))
-        for j, type_idx in enumerate(order[:3]):
+        difficulty = _difficulty_tag(len(trace.spans))
+        for j, type_idx in enumerate(rng.permutation(len(QUERY_TYPES))[:3]):
             qtype = QUERY_TYPES[type_idx]
-            qid = f"{trace.id}-q{j}"
-            if qtype == "trend_prediction":
-                queries.append(_gen_trend_query(trace, rng, counter, qid))
-            elif qtype == "parameter_adjustment":
-                queries.append(_gen_param_query(trace, qid))
-            elif qtype == "design_reasoning":
-                queries.append(_gen_reasoning_query(trace, qid))
-            else:
-                queries.append(_gen_failure_query(trace, rng, counter, qid))
+            text, ground_truth, answer = QUERY_MAKERS[qtype](trace, rng, counter)
+            queries.append(
+                Query(f"{trace.id}-q{j}", [trace.id], qtype, text, ground_truth, answer, difficulty)
+            )
     return queries
 
 

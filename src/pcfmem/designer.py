@@ -87,10 +87,11 @@ def classify_planted(entry: dict, bank: memory.MemoryBank) -> str:
     """Bank-local twin of classify_failure for planted notes (0 env calls).
 
     Same rule order; corroboration comes from the trace's own memory instead
-    of env probes, so an empty bank cannot detect an inverted trend.
+    of env probes, so an empty bank cannot detect an inverted trend. The
+    entry's field types are the ones ``datagen.query_from_dict`` checks.
     """
     key = entry.get("key", {})
-    direction = int(entry.get("direction", 0))
+    direction = entry.get("direction", 0)
     if direction != 0 and entry.get("kind") in ("trend", "param_map"):
         for e in bank.active():
             if e.kind not in ("trend", "param_map"):
@@ -107,9 +108,9 @@ def classify_planted(entry: dict, bank: memory.MemoryBank) -> str:
     if geom:
         try:
             physics.validate_geometry(physics.geometry_from_dict(geom))
-        except (physics.InvalidGeometry, KeyError, ValueError):
+        except (physics.InvalidGeometry, KeyError, TypeError, ValueError):
             return "missing_constraint"
-    if int(entry.get("contradictions", 0)) >= 2:
+    if entry.get("contradictions", 0) >= 2:
         return "outdated_knowledge"
     return "spurious_memory"
 

@@ -84,7 +84,7 @@ def test_config_validation(tmp_path, capsys):
         ("evolve", {"minibatch": 0}, "'minibatch'"),
         ("evolve", {"top_k": 0}, "'top_k'"),
         ("eval", {"k_retrieve": 0}, "'k_retrieve'"),
-        ("train", {"inner_epochs": 0}, "'inner_epochs'"),
+        ("evolve", {"inner_epochs": 0}, "'inner_epochs'"),
         ("evolve", {"outer_epochs": -1}, "'outer_epochs'"),
     ]
     for command, raw, message in bad_values:
@@ -264,6 +264,22 @@ def _resplit(**edit):
     return apply
 
 
+def _relink(trace_ids):
+    # the first test-split query links to ``trace_ids`` instead
+    def apply(paths, splits):
+        with open(paths["queries"], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        test_ids = set(splits["test"])
+        n = next(n for n, l in enumerate(lines[1:], 1) if json.loads(l)["trace_ids"][0] in test_ids)
+        doc = json.loads(lines[n])
+        doc["trace_ids"] = trace_ids
+        lines[n] = json.dumps(doc) + "\n"
+        with open(paths["queries"], "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+
+    return apply
+
+
 BROKEN_IDENTITIES = {
     # each corpus exits 0 with changed scores unless the loader refuses it
     "repeated_trace_id": (_repeat_trace, "traces.jsonl:", "repeated id"),
@@ -276,6 +292,14 @@ BROKEN_IDENTITIES = {
     "id_in_two_splits": (
         _resplit(test=lambda s: s["test"] + s["train"][:1]),
         "splits.json:", "is listed in 'train' and in 'test'",
+    ),
+    # an empty link crashed with IndexError; the other two dropped the query
+    "query_without_trace": (_relink([]), "queries.jsonl:", "[] is not a non-empty list"),
+    "query_of_unknown_trace": (
+        _relink(["t99999"]), "queries.jsonl:", "names trace 't99999', which is not in",
+    ),
+    "query_trace_id_not_a_list": (
+        _relink("t00000"), "queries.jsonl:", "'t00000' is not a non-empty list",
     ),
 }
 
@@ -308,6 +332,17 @@ def test_design_query_without_ground_truth_is_a_data_error(tmp_path, capsys, sma
         assert "ground_truth lacks target, reference_geometry" in err, argv
 
 
+def _planted(**edit):
+    """A planted note with valid fields, then ``edit``."""
+    entry = {
+        "key": {"param": "pitch", "metric": "loss", "lambda_bucket": "1.55-band", "regime": "mid"},
+        "kind": "trend", "statement": "loss falls as pitch increases", "direction": -1,
+        "slope": 0.0, "support_count": 3, "confidence": 0.6, "contradictions": 0,
+        "geom": {"pitch_um": 2.3, "hole_d_um": 1.15, "n_rings": 6},
+    }
+    return dict(entry, **edit)
+
+
 BAD_RECORD_VALUES = {
     # (file, query type or None for a trace, field, value, message); each
     # corpus loaded, and eval exited 0 with changed scores or crashed with a
@@ -324,6 +359,27 @@ BAD_RECORD_VALUES = {
     "fractional_reference_rings": (
         "queries", "parameter_adjustment", "reference_geometry",
         {"pitch_um": 2.3, "hole_d_um": 1.15, "n_rings": 6.5}, "n_rings 6.5 is not an integer",
+    ),
+    # the fields the failure answerer reads off a planted note
+    "planted_direction_word": (
+        "queries", "failure_analysis", "planted_entry", _planted(direction="up"),
+        "planted direction 'up' is not -1, 0 or 1",
+    ),
+    "planted_direction_fraction": (
+        "queries", "failure_analysis", "planted_entry", _planted(direction=0.7),
+        "planted direction 0.7 is not -1, 0 or 1",
+    ),
+    "planted_contradictions_word": (
+        "queries", "failure_analysis", "planted_entry", _planted(contradictions="x"),
+        "planted contradictions 'x' is not a count",
+    ),
+    "planted_kind": (
+        "queries", "failure_analysis", "planted_entry", _planted(kind="rumour"),
+        "planted kind 'rumour' is not one of",
+    ),
+    "planted_geom_text": (
+        "queries", "failure_analysis", "planted_entry", _planted(geom="oops"),
+        "planted geom 'oops' is not an object",
     ),
 }
 
@@ -686,7 +742,7 @@ def test_run_directory_holds_one_ablation(tmp_path, capsys):
     assert code == 0
     names = ("bank.json", "results.json", "checkpoint.npz")
     first = [(tmp_path / name).read_bytes() for name in names]
-    for command in (["evolve", "--outer", "1", "--inner", "2"], ["eval"], ["train"]):
+    for command in (["evolve", "--outer", "1", "--inner", "2"], ["eval"]):
         code, _, err = _run(command + ["--ablate", "wo_controller"] + common, capsys)
         assert code == cli.EXIT_DATA, command
         assert "results.json" in err and "'full'" in err and "'wo_controller'" in err

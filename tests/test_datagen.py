@@ -74,6 +74,16 @@ def test_queries_three_distinct_types_per_trace(small_corpus):
             assert q.difficulty in ("easy", "medium", "hard", "extreme")
 
 
+def test_one_maker_per_query_type(small_corpus):
+    # gen_queries builds every record; a maker returns only its parts
+    assert set(datagen.QUERY_MAKERS) == set(datagen.QUERY_TYPES)
+    trace = small_corpus["traces"][0]
+    for qtype, make in datagen.QUERY_MAKERS.items():
+        text, ground_truth, answer = make(trace, np.random.default_rng(0), CallCounter())
+        assert isinstance(text, str) and isinstance(answer, str), qtype
+        assert set(datagen.GROUND_TRUTH_FIELDS[qtype]) <= set(ground_truth), qtype
+
+
 def test_query_ground_truth_shapes(small_corpus):
     for q in small_corpus["queries"]:
         gt = q.ground_truth

@@ -111,6 +111,14 @@ def test_classify_planted_four_ways():
     assert designer.classify_planted(bland, bank) == "spurious_memory"
 
 
+def test_classify_planted_reads_a_geometry_of_no_numbers_as_invalid():
+    # a null coordinate raised TypeError out of eval
+    geom = {"pitch_um": None, "hole_d_um": 1.15, "n_rings": 6}
+    assert designer.classify_planted(dict(_trend(+1), geom=geom), memory.MemoryBank()) == (
+        "missing_constraint"
+    )
+
+
 def test_buffer_evicts_easiest_case():
     buf = FailureBuffer(capacity=3)
 
